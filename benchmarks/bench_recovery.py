@@ -83,7 +83,7 @@ def test_recovery_restart_time(benchmark):
             checkpoint = store.take_checkpoint()
     image = store.log_bytes
     benchmark(
-        lambda: LogStructuredStore.recover_with_checkpoint(
-            image, checkpoint, expected_items=2 * mid_ops, seed=config.seed
-        )
+        lambda: LogStructuredStore(
+            expected_items=2 * mid_ops, seed=config.seed, durable=True
+        ).recover_with_checkpoint(image, checkpoint)
     )

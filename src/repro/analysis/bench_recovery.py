@@ -3,7 +3,7 @@
 The question this harness answers is the one the maintenance subsystem
 exists for: *how long does a durable shard take to come back after a
 crash, as its write history grows?*  Without checkpoints, recovery must
-re-insert every surviving record into a fresh index, so restart time
+replay every surviving record into a fresh index, so restart time
 grows with the total historical log.  With a checkpoint, the index is
 restored bit-for-bit from the snapshot and only the post-checkpoint tail
 is replayed — the dominant index-rebuild cost stops scaling with history
@@ -15,8 +15,9 @@ takes one checkpoint ``tail_ops`` appends before the end (so the tail
 length is constant across sizes), then times both recovery paths over
 the same surviving image:
 
-* ``full_replay_s``   — :meth:`LogStructuredStore.recover_from_bytes`
-* ``checkpoint_replay_s`` — :meth:`LogStructuredStore.recover_with_checkpoint`
+* ``full_replay_s``   — :meth:`LogStructuredStore.recover_with_checkpoint`
+  without a checkpoint
+* ``checkpoint_replay_s`` — the same call with the checkpoint
 
 Both are best-of-``repeats`` wall times.  The headline reports the
 speedup at the largest history and a *flatness* ratio: how much each
@@ -105,24 +106,17 @@ def run_bench_recovery(
         expected = max(1024, 2 * n_ops)
         image, checkpoint, log_records = _drive(config, n_ops)
 
-        def full() -> None:
-            LogStructuredStore.recover_from_bytes(
-                image, expected_items=expected, seed=config.seed
+        def recover(checkpoint_or_none) -> Any:
+            store = LogStructuredStore(
+                expected_items=expected, seed=config.seed, durable=True
             )
+            return store.recover_with_checkpoint(image, checkpoint_or_none)
 
-        def ckpt() -> None:
-            LogStructuredStore.recover_with_checkpoint(
-                image, checkpoint, expected_items=expected, seed=config.seed
-            )
-
-        full_s = _best_of(config.repeats, full)
-        ckpt_s = _best_of(config.repeats, ckpt)
+        full_s = _best_of(config.repeats, lambda: recover(None))
+        ckpt_s = _best_of(config.repeats, lambda: recover(checkpoint))
         # sanity: the checkpointed path must actually use the checkpoint
-        probe = LogStructuredStore.recover_with_checkpoint(
-            image, checkpoint, expected_items=expected, seed=config.seed
-        )
-        report = probe.recovery_report
-        assert report is not None and report.checkpoint_loaded
+        report = recover(checkpoint)
+        assert report.checkpoint_loaded
         row = {
             "ops": n_ops,
             "log_bytes": len(image),

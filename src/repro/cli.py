@@ -982,16 +982,15 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 
 def _load_log_file(path: str, expected_items: int, seed: int):
-    """Verbatim-image load shared by the offline maintenance verbs."""
+    """Verbatim-image load shared by the offline maintenance verbs: the
+    store's one recovery path, into a store built from the flags."""
     from .apps.kvstore import LogStructuredStore
 
     with open(path, "rb") as handle:
         data = handle.read()
-    store = LogStructuredStore.open_from_bytes(
-        data, expected_items=expected_items, seed=seed
-    )
-    report = store.recovery_report
-    assert report is not None
+    store = LogStructuredStore(expected_items=expected_items, seed=seed,
+                               durable=True)
+    report = store.recover_with_checkpoint(data)
     if report.torn_tail:
         print(f"note: truncated a torn {report.bytes_truncated}-byte tail",
               file=sys.stderr)

@@ -2,7 +2,7 @@
 
 from .batch import BatchResult, batched_lookup, serial_epochs
 from .blocked import BlockedMcCuckoo
-from .config import DeletionMode, FailurePolicy, SiblingTracking
+from .config import DeletionMode, FailurePolicy, SiblingTracking, TableConfig
 from .counters import BitArray, PackedArray
 from .engine import BACKENDS, EngineConfig
 from .errors import (
@@ -70,6 +70,7 @@ __all__ = [
     "ShardedMcCuckoo",
     "ReproError",
     "SiblingTracking",
+    "TableConfig",
     "TableEvents",
     "TableFullError",
     "UnsupportedOperationError",

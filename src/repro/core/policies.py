@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..memory.model import MemoryModel
 from .counters import PackedArray
@@ -72,6 +72,15 @@ class KickPolicy(ABC):
         to its failure handling (stash/rehash/fail) without burning the
         rest of ``maxloop``.  Default: never."""
         return False
+
+    def state(self) -> Any:
+        """The policy's mutable state as plain data (``None`` when it has
+        none).  Snapshots record it: a restored table must choose the same
+        victims the original would have."""
+        return None
+
+    def load_state(self, state: Any) -> None:
+        """Inverse of :meth:`state`; called after :meth:`attach`."""
 
 
 class RandomWalkPolicy(KickPolicy):
@@ -127,6 +136,12 @@ class MinCounterPolicy(KickPolicy):
         current = history.get(bucket)
         if current < self._saturate_at:
             history.set(bucket, current + 1)
+
+    def state(self) -> bytes:
+        return bytes(self._require_history()._data)
+
+    def load_state(self, state: bytes) -> None:
+        self._require_history()._data = bytearray(state)
 
 
 class WearAwarePolicy(KickPolicy):
@@ -294,6 +309,12 @@ class BubblingPolicy(KickPolicy):
             return False
         labels = self._require_labels()
         return min(labels.get(b) for b in candidates) >= self._give_up_at
+
+    def state(self) -> bytes:
+        return bytes(self._require_labels()._data)
+
+    def load_state(self, state: bytes) -> None:
+        self._require_labels()._data = bytearray(state)
 
 
 POLICIES = {

@@ -13,8 +13,9 @@ subsequent write operation*:
 
 * new insertions go to the new table;
 * lookups/deletes consult the new table first, then the old one;
-* each ``put``/``delete`` also advances a migration cursor over the old
-  table's buckets, moving ``migrate_batch`` distinct items across;
+* each ``put`` and each ``delete`` that removes a key also advances a
+  migration cursor over the old table's buckets, moving ``migrate_batch``
+  distinct items across;
 * when the cursor completes (including draining the old stash), the old
   table is dropped.
 
@@ -28,74 +29,42 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..hashing import Key, KeyLike
 from ..memory.model import MemoryModel
-from .config import DeletionMode, SiblingTracking
-from .engine import EngineLike
-from .errors import ConfigurationError
+from .config import TableConfig
 from .interface import HashTable
 from .mccuckoo import McCuckoo
-from .policies import KickPolicy
 from .results import DeleteOutcome, InsertOutcome, LookupOutcome
 
 
 class ResizableMcCuckoo(HashTable):
-    """A McCuckoo table that grows online, a few buckets per write."""
+    """A McCuckoo table that grows online, a few buckets per write.
+
+    Built from ``config`` (a :class:`~repro.core.config.TableConfig`), or
+    from ``n_buckets`` plus that config's other fields as keywords.
+    """
 
     name = "ResizableMcCuckoo"
 
     def __init__(
         self,
-        n_buckets: int,
-        d: int = 3,
-        grow_at: float = 0.85,
-        growth_factor: float = 2.0,
-        migrate_batch: int = 8,
-        seed: int = 0,
-        maxloop: int = 500,
-        deletion_mode: DeletionMode = DeletionMode.RESET,
-        sibling_tracking: SiblingTracking = SiblingTracking.READ,
-        stash_buckets: int = 64,
+        n_buckets: int = 0,
         mem: Optional[MemoryModel] = None,
-        engine: EngineLike = None,
-        **table_kwargs: Any,
+        *,
+        config: Optional[TableConfig] = None,
+        **settings: Any,
     ) -> None:
         super().__init__(mem)
-        if not 0.0 < grow_at < 1.0:
-            raise ConfigurationError("grow_at must be within (0, 1)")
-        if growth_factor <= 1.0:
-            raise ConfigurationError("growth_factor must exceed 1.0")
-        if migrate_batch < 1:
-            raise ConfigurationError("migrate_batch must be positive")
-        if deletion_mode is DeletionMode.DISABLED:
-            raise ConfigurationError(
-                "online migration removes items from the old half, so the "
-                "deletion mode cannot be DISABLED"
-            )
-        self.grow_at = grow_at
-        self.growth_factor = growth_factor
-        self.migrate_batch = migrate_batch
-        self._seed = seed
-        if isinstance(table_kwargs.get("kick_policy"), KickPolicy):
-            raise ConfigurationError(
-                "pass kick_policy by registry name (a string): during a "
-                "resize the active and retiring generations coexist, and a "
-                "shared policy instance cannot be attached to both tables"
-            )
-        self._table_kwargs = dict(
-            d=d,
-            maxloop=maxloop,
-            deletion_mode=deletion_mode,
-            sibling_tracking=sibling_tracking,
-            stash_buckets=stash_buckets,
-            engine=engine,
-            **table_kwargs,
-        )
-        self._active = self._make_table(n_buckets, seed)
+        if config is None:
+            config = TableConfig(n_buckets, **settings)
+        elif n_buckets or settings:
+            raise TypeError("pass either a TableConfig or its fields, not both")
+        self.config = config
+        self._active = self._make_table(config.n_buckets, config.seed)
         self._retiring: Optional[McCuckoo] = None
         self._cursor = 0
         self.generations = 0
 
     def _make_table(self, n_buckets: int, seed: int) -> McCuckoo:
-        return McCuckoo(n_buckets, seed=seed, mem=self.mem, **self._table_kwargs)
+        return McCuckoo(n_buckets, seed=seed, mem=self.mem, **self.config.table_kwargs())
 
     # ------------------------------------------------------------------
     # geometry
@@ -133,15 +102,15 @@ class ResizableMcCuckoo(HashTable):
     def _maybe_start_resize(self) -> None:
         if self._retiring is not None:
             return
-        if self._active.load_ratio < self.grow_at:
+        if self._active.load_ratio < self.config.grow_at:
             return
         self.generations += 1
         bigger = max(
             self._active.n_buckets + 1,
-            int(self._active.n_buckets * self.growth_factor),
+            int(self._active.n_buckets * self.config.growth_factor),
         )
         self._retiring = self._active
-        self._active = self._make_table(bigger, self._seed + self.generations)
+        self._active = self._make_table(bigger, self.config.seed + self.generations)
         self._cursor = 0
 
     def migrate_step(self, batch: Optional[int] = None) -> int:
@@ -153,7 +122,7 @@ class ResizableMcCuckoo(HashTable):
         if self._retiring is None:
             return 0
         moved = 0
-        budget = batch if batch is not None else self.migrate_batch
+        budget = batch if batch is not None else self.config.migrate_batch
         old = self._retiring
         while moved < budget and self._cursor < old.capacity:
             bucket = self._cursor
@@ -231,10 +200,14 @@ class ResizableMcCuckoo(HashTable):
         return outcomes
 
     def delete(self, key: KeyLike) -> DeleteOutcome:
+        """Delete ``key``; migration advances only when something was
+        deleted, so a miss leaves the table exactly as it was (a store
+        logs no record for it, and replay must reproduce the layout)."""
         outcome = self._active.delete(key)
         if not outcome.deleted and self._retiring is not None:
             outcome = self._retiring.delete(key)
-        self.migrate_step()
+        if outcome.deleted:
+            self.migrate_step()
         return outcome
 
     def try_update(self, key: KeyLike, value: Any) -> Optional[InsertOutcome]:

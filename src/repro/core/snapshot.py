@@ -4,8 +4,10 @@ A deduplication index or flow table must survive restarts without a full
 rebuild (re-inserting millions of keys would also re-randomise the layout
 and invalidate warm counters).  These helpers capture the complete state of
 a :class:`McCuckoo` or :class:`BlockedMcCuckoo` — bucket contents, on-chip
-counters, flags, tombstones, sibling metadata, stash, RNG state and event
-milestones — and restore it bit-for-bit.
+counters, flags, tombstones, sibling metadata, stash, RNG state, event
+milestones and kick-policy state (bubbling labels, MinCounter history,
+wear counts) — and restore it bit-for-bit, so a restored table makes the
+same choices the original would have.
 
 Snapshots are plain picklable dicts; :func:`save` / :func:`load` wrap them
 in a versioned pickle file.  Restored tables are verified against the
@@ -18,13 +20,21 @@ import pickle
 from typing import Any, Dict
 
 from .blocked import BlockedMcCuckoo
-from .config import DeletionMode, FailurePolicy, SiblingTracking
+from .config import DeletionMode, FailurePolicy, SiblingTracking, TableConfig
 from .errors import ConfigurationError
 from .invariants import check_blocked, check_mccuckoo
 from .mccuckoo import McCuckoo
 from .results import TableEvents
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+
+def _check_kind(data: Dict[str, Any], kind: str, what: str) -> Dict[str, Any]:
+    if data.get("kind") != kind:
+        raise ConfigurationError(f"snapshot is not {what}")
+    if data.get("version") != SNAPSHOT_VERSION:
+        raise ConfigurationError(f"unsupported snapshot version {data.get('version')}")
+    return data["config"]
 
 
 def _stash_state(table) -> Dict[str, Any]:
@@ -49,6 +59,65 @@ def _restore_stash(table, state: Dict[str, Any]) -> None:
         stash._count += 1
 
 
+def _policy_state(table) -> Dict[str, Any]:
+    """Kick-policy state (bubbling labels, MinCounter history) and the wear
+    counts a wear-aware policy reads."""
+    wear = getattr(table, "_wear", None)
+    return {
+        "policy": table._policy.state(),
+        "wear": (list(wear._counts), wear._total) if wear is not None else None,
+    }
+
+
+def _restore_policy_state(table, state: Dict[str, Any]) -> None:
+    if state["policy"] is not None:
+        table._policy.load_state(state["policy"])
+    wear = getattr(table, "_wear", None)
+    if wear is not None and state["wear"] is not None:
+        wear._counts, wear._total = list(state["wear"][0]), state["wear"][1]
+
+
+def _table_state(table) -> Dict[str, Any]:
+    """The state both multi-copy table kinds share."""
+    return {
+        "keys": list(table._keys),
+        "values": list(table._values),
+        "counters": bytes(table._counters._data),
+        "flags": bytes(table._flags._data),
+        "tombstones": (
+            bytes(table._tombstones._data) if table._tombstones is not None else None
+        ),
+        "n_main": table._n_main,
+        "total_kicks": table.total_kicks,
+        "rng_state": table._rng.getstate(),
+        "events": (
+            table.events.first_collision_items,
+            table.events.first_failure_items,
+        ),
+        "stash": _stash_state(table),
+        "policy": _policy_state(table),
+    }
+
+
+def _restore_table_state(table, data: Dict[str, Any]) -> None:
+    table._keys = list(data["keys"])
+    table._values = list(data["values"])
+    table._counters._data = bytearray(data["counters"])
+    table._flags._data = bytearray(data["flags"])
+    if table._tombstones is not None and data["tombstones"] is not None:
+        table._tombstones._data = bytearray(data["tombstones"])
+    table._n_main = data["n_main"]
+    table.total_kicks = data["total_kicks"]
+    table._rng.setstate(data["rng_state"])
+    table.events = TableEvents(*data["events"])
+    _restore_stash(table, data["stash"])
+    _restore_policy_state(table, data["policy"])
+
+
+def _stash_buckets(table) -> int:
+    return len(table._stash._buckets) if table._stash is not None else 0
+
+
 def snapshot_mccuckoo(table: McCuckoo) -> Dict[str, Any]:
     """Capture a single-slot McCuckoo table's full state."""
     return {
@@ -62,27 +131,20 @@ def snapshot_mccuckoo(table: McCuckoo) -> Dict[str, Any]:
             "on_failure": table.on_failure.value,
             "deletion_mode": table.deletion_mode.value,
             "sibling_tracking": table.sibling_tracking.value,
-            "stash_buckets": (
-                len(table._stash._buckets) if table._stash is not None else 0
-            ),
+            "stash_buckets": _stash_buckets(table),
+            "kick_policy": table._policy.name,
         },
-        "keys": list(table._keys),
-        "values": list(table._values),
-        "counters": bytes(table._counters._data),
-        "flags": bytes(table._flags._data),
-        "tombstones": (
-            bytes(table._tombstones._data) if table._tombstones is not None else None
-        ),
         "masks": list(table._masks) if table._masks is not None else None,
-        "n_main": table._n_main,
-        "total_kicks": table.total_kicks,
-        "rng_state": table._rng.getstate(),
-        "events": (
-            table.events.first_collision_items,
-            table.events.first_failure_items,
-        ),
-        "stash": _stash_state(table),
+        **_table_state(table),
     }
+
+
+def _load_mccuckoo(table: McCuckoo, data: Dict[str, Any]) -> McCuckoo:
+    _restore_table_state(table, data)
+    if table._masks is not None and data["masks"] is not None:
+        table._masks = list(data["masks"])
+    check_mccuckoo(table)
+    return table
 
 
 def restore_mccuckoo(data: Dict[str, Any], *, mem=None, engine=None) -> McCuckoo:
@@ -92,16 +154,13 @@ def restore_mccuckoo(data: Dict[str, Any], *, mem=None, engine=None) -> McCuckoo
     engine to the restored table (snapshots never carry either — a counter
     object and a compute backend are runtime wiring, not state).
     """
-    if data.get("kind") != "mccuckoo":
-        raise ConfigurationError("snapshot is not a single-slot McCuckoo table")
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ConfigurationError(f"unsupported snapshot version {data.get('version')}")
-    cfg = data["config"]
+    cfg = _check_kind(data, "mccuckoo", "a single-slot McCuckoo table")
     table = McCuckoo(
         cfg["n_buckets"],
         d=cfg["d"],
         seed=cfg["seed"],
         maxloop=cfg["maxloop"],
+        kick_policy=cfg["kick_policy"],
         on_failure=FailurePolicy(cfg["on_failure"]),
         deletion_mode=DeletionMode(cfg["deletion_mode"]),
         sibling_tracking=SiblingTracking(cfg["sibling_tracking"]),
@@ -109,21 +168,7 @@ def restore_mccuckoo(data: Dict[str, Any], *, mem=None, engine=None) -> McCuckoo
         mem=mem,
         engine=engine,
     )
-    table._keys = list(data["keys"])
-    table._values = list(data["values"])
-    table._counters._data = bytearray(data["counters"])
-    table._flags._data = bytearray(data["flags"])
-    if table._tombstones is not None and data["tombstones"] is not None:
-        table._tombstones._data = bytearray(data["tombstones"])
-    if table._masks is not None and data["masks"] is not None:
-        table._masks = list(data["masks"])
-    table._n_main = data["n_main"]
-    table.total_kicks = data["total_kicks"]
-    table._rng.setstate(data["rng_state"])
-    table.events = TableEvents(*data["events"])
-    _restore_stash(table, data["stash"])
-    check_mccuckoo(table)
-    return table
+    return _load_mccuckoo(table, data)
 
 
 def snapshot_blocked(table: BlockedMcCuckoo) -> Dict[str, Any]:
@@ -139,74 +184,42 @@ def snapshot_blocked(table: BlockedMcCuckoo) -> Dict[str, Any]:
             "maxloop": table.maxloop,
             "on_failure": table.on_failure.value,
             "deletion_mode": table.deletion_mode.value,
-            "stash_buckets": (
-                len(table._stash._buckets) if table._stash is not None else 0
-            ),
+            "stash_buckets": _stash_buckets(table),
+            "kick_policy": table._policy.name,
         },
-        "keys": list(table._keys),
-        "values": list(table._values),
         "slotmaps": list(table._slotmaps),
-        "counters": bytes(table._counters._data),
-        "flags": bytes(table._flags._data),
-        "tombstones": (
-            bytes(table._tombstones._data) if table._tombstones is not None else None
-        ),
-        "n_main": table._n_main,
-        "total_kicks": table.total_kicks,
-        "rng_state": table._rng.getstate(),
-        "events": (
-            table.events.first_collision_items,
-            table.events.first_failure_items,
-        ),
-        "stash": _stash_state(table),
+        **_table_state(table),
     }
 
 
 def restore_blocked(data: Dict[str, Any]) -> BlockedMcCuckoo:
     """Rebuild a B-McCuckoo table from :func:`snapshot_blocked` output."""
-    if data.get("kind") != "blocked":
-        raise ConfigurationError("snapshot is not a blocked B-McCuckoo table")
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ConfigurationError(f"unsupported snapshot version {data.get('version')}")
-    cfg = data["config"]
+    cfg = _check_kind(data, "blocked", "a blocked B-McCuckoo table")
     table = BlockedMcCuckoo(
         cfg["n_buckets"],
         d=cfg["d"],
         slots=cfg["slots"],
         seed=cfg["seed"],
         maxloop=cfg["maxloop"],
+        kick_policy=cfg["kick_policy"],
         on_failure=FailurePolicy(cfg["on_failure"]),
         deletion_mode=DeletionMode(cfg["deletion_mode"]),
         stash_buckets=max(1, cfg["stash_buckets"]),
     )
-    table._keys = list(data["keys"])
-    table._values = list(data["values"])
+    _restore_table_state(table, data)
     table._slotmaps = list(data["slotmaps"])
-    table._counters._data = bytearray(data["counters"])
-    table._flags._data = bytearray(data["flags"])
-    if table._tombstones is not None and data["tombstones"] is not None:
-        table._tombstones._data = bytearray(data["tombstones"])
-    table._n_main = data["n_main"]
-    table.total_kicks = data["total_kicks"]
-    table._rng.setstate(data["rng_state"])
-    table.events = TableEvents(*data["events"])
-    _restore_stash(table, data["stash"])
     check_blocked(table)
     return table
 
 
 def snapshot_resizable(table) -> Dict[str, Any]:
-    """Capture a :class:`~repro.core.resize.ResizableMcCuckoo`, including an
+    """Capture a :class:`~repro.core.resize.ResizableMcCuckoo`: its
+    :class:`~repro.core.config.TableConfig` (all but the engine), and an
     in-flight migration (both halves plus the cursor position)."""
     return {
         "version": SNAPSHOT_VERSION,
         "kind": "resizable",
-        "config": {
-            "grow_at": table.grow_at,
-            "growth_factor": table.growth_factor,
-            "migrate_batch": table.migrate_batch,
-            "seed": table._seed,
-        },
+        "config": table.config.to_dict(),
         "cursor": table._cursor,
         "generations": table.generations,
         "active": snapshot_mccuckoo(table.active_table),
@@ -219,35 +232,24 @@ def snapshot_resizable(table) -> Dict[str, Any]:
 
 
 def restore_resizable(data: Dict[str, Any], *, mem=None, engine=None):
-    """Rebuild a ResizableMcCuckoo from :func:`snapshot_resizable` output."""
+    """Rebuild a ResizableMcCuckoo from :func:`snapshot_resizable` output.
+
+    The table is built from the recorded config, so each generation gets
+    the recorded kick policy, and then takes on its recorded state.
+    """
     from .resize import ResizableMcCuckoo
 
-    if data.get("kind") != "resizable":
-        raise ConfigurationError("snapshot is not a ResizableMcCuckoo table")
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ConfigurationError(f"unsupported snapshot version {data.get('version')}")
-    cfg = data["config"]
-    active_cfg = data["active"]["config"]
-    table = ResizableMcCuckoo(
-        active_cfg["n_buckets"],
-        d=active_cfg["d"],
-        grow_at=cfg["grow_at"],
-        growth_factor=cfg["growth_factor"],
-        migrate_batch=cfg["migrate_batch"],
-        seed=cfg["seed"],
-        maxloop=active_cfg["maxloop"],
-        deletion_mode=DeletionMode(active_cfg["deletion_mode"]),
-        sibling_tracking=SiblingTracking(active_cfg["sibling_tracking"]),
-        stash_buckets=max(1, active_cfg["stash_buckets"]),
-        on_failure=FailurePolicy(active_cfg["on_failure"]),
-        mem=mem,
-        engine=engine,
-    )
-    table._active = restore_mccuckoo(data["active"], mem=table.mem, engine=engine)
+    cfg = _check_kind(data, "resizable", "a ResizableMcCuckoo table")
+    table = ResizableMcCuckoo(config=TableConfig.from_dict(cfg, engine=engine), mem=mem)
+
+    def generation(state: Dict[str, Any]) -> McCuckoo:
+        _check_kind(state, "mccuckoo", "a single-slot McCuckoo table")
+        half = table._make_table(state["config"]["n_buckets"], state["config"]["seed"])
+        return _load_mccuckoo(half, state)
+
+    table._active = generation(data["active"])
     table._retiring = (
-        restore_mccuckoo(data["retiring"], mem=table.mem, engine=engine)
-        if data["retiring"] is not None
-        else None
+        generation(data["retiring"]) if data["retiring"] is not None else None
     )
     table._cursor = data["cursor"]
     table.generations = data["generations"]

@@ -85,7 +85,9 @@ Rule grammar (``FaultPlan.parse``) — rules separated by ``;`` or ``,``:
     on disk), mid-checkpoint-write (torn checkpoint file on disk), or at
     a live-resharding phase boundary (the migration coordinator must
     abort or complete without losing an acknowledged write).  The
-    supervisor restarts the worker from its durable files.  Migration
+    supervisor restarts the worker from its durable files.  A compaction
+    or checkpoint strike fires once per worker slot, not once per
+    incarnation: the replacement starts with it spent.  Migration
     phases consult in a fixed order per role (source: snapshot, delta,
     fence, delta, release; target: install, apply, apply, activate), so
     N selects a deterministic phase boundary to die at.
@@ -113,7 +115,7 @@ class InjectedCrash(ReproError):
 
     The raising store must be treated as dead: its in-memory index may be
     ahead of its durable log.  Recover a fresh store from the log bytes
-    (:meth:`LogStructuredStore.recover_from_bytes`) instead of continuing.
+    (:meth:`LogStructuredStore.recover_with_checkpoint`) instead of continuing.
     """
 
 
@@ -365,6 +367,24 @@ class FaultPlan:
     @property
     def armed(self) -> bool:
         return self._armed
+
+    def spent_maintenance_kills(self) -> List[int]:
+        """Indices of the ``kill_worker_during=compaction|checkpoint``
+        rules that have fired (see :meth:`mark_spent`)."""
+        return [
+            index for index, rule in enumerate(self.rules)
+            if rule.kind == "kill_worker_during"
+            and rule.site in ("compaction", "checkpoint") and rule._spent
+        ]
+
+    def mark_spent(self, indices: Sequence[int]) -> None:
+        """Start the given one-shot rules already fired.  A worker killed
+        inside maintenance hands its spent strike to its replacement:
+        recovery keeps the log as it was, so the replacement resumes the
+        interrupted compaction or checkpoint, and re-firing the strike
+        there would kill every incarnation in turn."""
+        for index in indices:
+            self.rules[index]._spent = True
 
     def reset(self) -> None:
         """Rewind all counters/one-shots and re-derive every rule's RNG."""

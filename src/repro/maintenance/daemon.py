@@ -32,13 +32,15 @@ class MaintenanceConfig:
 
     ``compact_at`` is a garbage-ratio threshold in [0, 1]; a negative
     value disables compaction.  ``checkpoint_every`` is the append count
-    between checkpoints; 0 disables checkpointing.
+    between checkpoints; 0 disables checkpointing.  With checkpointing
+    on, every compaction is followed at once by a checkpoint: the index
+    keeps history the compacted log no longer holds, so only a
+    checkpoint brings the compacted shard back exactly as it was.
     """
 
     compact_at: float = 0.5
     compact_min_records: int = 128
     checkpoint_every: int = 512
-    checkpoint_after_compaction: bool = True
 
     @classmethod
     def aggressive(cls) -> "MaintenanceConfig":
@@ -105,7 +107,7 @@ class MaintenanceDaemon:
             out["compacted"] = self._compactor.compact(
                 store, interrupt=self._interrupt, on_commit=self._on_commit
             )
-            if cfg.checkpoint_after_compaction and cfg.checkpoint_every > 0:
+            if cfg.checkpoint_every > 0:
                 self._write_checkpoint(store, shard)
                 out["checkpointed"] = True
                 return out

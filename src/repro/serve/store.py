@@ -272,26 +272,17 @@ class ShardedLogStore:
         self, shard: int, data: bytes, checkpoint: Optional[bytes] = None
     ) -> RecoveryReport:
         """Replace an owned shard with one recovered from serialized log
-        bytes.  Worker processes use this after a *process* death, where
-        the surviving bytes come from the shard's on-disk log file rather
-        than the dead incarnation's in-memory image.  ``checkpoint`` is an
+        bytes: an empty shard built as :meth:`_make_shard` builds every
+        shard, loaded by :meth:`LogStructuredStore.recover_with_checkpoint`.
+        Worker processes use this after a *process* death, where the
+        surviving bytes come from the shard's on-disk log file rather than
+        the dead incarnation's in-memory image.  ``checkpoint`` is an
         optional checkpoint artifact; an invalid/torn/stale one is ignored
         (full replay) and flagged in the returned report."""
         self.shard(shard)  # ownership check
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            data,
-            checkpoint,
-            expected_items=self._per_shard,
-            seed=self._seed + 101 * shard + 1,
-            durable=True,
-            faults=self._faults,
-            shard_id=shard,
-            engine=self.engine,
-            kick_policy=self.kick_policy,
-        )
+        recovered = self._make_shard(shard)
+        report = recovered.recover_with_checkpoint(data, checkpoint)
         self._shards[shard] = recovered
-        report = recovered.recovery_report
-        assert report is not None
         self.recovery_reports.append(report)
         return report
 

@@ -48,7 +48,7 @@ Topology and transport::
   rule's ``os._exit`` before an ack) fails its in-flight ops with
   ``UNAVAILABLE`` (outcome unknown; idempotent clients retry), and the
   supervisor forks a replacement that replays the worker's durable log
-  files through :meth:`LogStructuredStore.recover_from_bytes` before
+  files through :meth:`LogStructuredStore.recover_with_checkpoint` before
   re-registering — other workers' traffic never stops.  While the
   replacement boots, its shards answer BUSY.
 * **Stats**: STATS merges the frontend's counters with every worker's
@@ -252,9 +252,7 @@ class WorkerSpec:
     fault_seed: int = 0
     armed: bool = True
     log_dir: Optional[str] = None
-    compact_at: float = -1.0
-    compact_min_records: int = 128
-    checkpoint_every: int = 0
+    maintenance: Optional[MaintenanceConfig] = None
     transport: str = "socket"
     epoch: int = 1
     """This incarnation's generation: every shm ring slot is stamped with
@@ -275,16 +273,14 @@ class WorkerSpec:
     """Victim-selection policy (registry name) for the shard indexes;
     travels as a string so the spec stays picklable and every restarted
     worker builds a fresh policy instance per shard."""
+    engine: str = "auto"
+    """Batch-kernel backend for the shard indexes (``ServerConfig.engine``)."""
 
     @property
     def shards(self) -> Tuple[int, ...]:
         if self.owned_shards is not None:
             return self.owned_shards
         return shards_of_worker(self.worker_id, self.n_shards, self.n_workers)
-
-    @property
-    def maintenance_enabled(self) -> bool:
-        return self.compact_at >= 0.0 or self.checkpoint_every > 0
 
     def log_path(self, shard: int) -> str:
         assert self.log_dir is not None
@@ -293,6 +289,12 @@ class WorkerSpec:
     def ckpt_path(self, shard: int) -> str:
         assert self.log_dir is not None
         return os.path.join(self.log_dir, f"shard-{shard}.ckpt")
+
+    @property
+    def spent_path(self) -> str:
+        """Fault rules spent by earlier incarnations of this worker."""
+        assert self.log_dir is not None
+        return os.path.join(self.log_dir, f"worker-{self.worker_id}.spent")
 
 
 def _child_entry(spec: WorkerSpec, child_sock, parent_sock,
@@ -439,6 +441,12 @@ class _ShardWorker:
         )
         if self.faults is not None and not spec.armed:
             self.faults.disarm()
+        if self.faults is not None and spec.log_dir is not None:
+            try:
+                with open(spec.spent_path) as handle:
+                    self.faults.mark_spent(json.load(handle))
+            except FileNotFoundError:
+                pass
         self._sinks: Dict[int, Any] = {}
         self.recovered_shards: List[int] = []
         self.recovered_records = 0
@@ -457,16 +465,13 @@ class _ShardWorker:
             durable=spec.durable,
             faults=self.faults,
             owned=owned,
+            engine=spec.engine,
             kick_policy=spec.kick_policy,
         )
         self.daemon: Optional[MaintenanceDaemon] = None
-        if spec.maintenance_enabled:
+        if spec.maintenance is not None and spec.maintenance.enabled:
             self.daemon = MaintenanceDaemon(
-                MaintenanceConfig(
-                    compact_at=spec.compact_at,
-                    compact_min_records=spec.compact_min_records,
-                    checkpoint_every=spec.checkpoint_every,
-                ),
+                spec.maintenance,
                 interrupt=self._maintenance_interrupt,
                 checkpoint_writer=(
                     self._write_checkpoint_file
@@ -586,7 +591,15 @@ class _ShardWorker:
         """
         if self.faults is not None and self.faults.should_kill_maintenance(
                 site, self.spec.worker_id):
-            self._last_gasp_exit(24)
+            self._maintenance_kill()
+
+    def _maintenance_kill(self) -> None:
+        """Die inside maintenance, recording the spent strike for the
+        replacement (see :meth:`FaultPlan.mark_spent`)."""
+        if self.spec.log_dir is not None:
+            with open(self.spec.spent_path, "w") as handle:
+                json.dump(self.faults.spent_maintenance_kills(), handle)
+        self._last_gasp_exit(24)
 
     def _write_checkpoint_file(self, shard: int, artifact: bytes) -> None:
         """Persist a checkpoint by overwriting the shard's single slot.
@@ -603,7 +616,7 @@ class _ShardWorker:
             handle.flush()
             if self.faults is not None and self.faults.should_kill_maintenance(
                     "checkpoint", self.spec.worker_id):
-                self._last_gasp_exit(24)
+                self._maintenance_kill()
             handle.write(artifact[half:])
             handle.flush()
 
@@ -837,11 +850,11 @@ class _ShardWorker:
     def _migrate_install(self, shard: int, payload: bytes) -> bytes:
         """Adopt the shard from the snapshot image and prime delta replay.
 
-        The checkpoint is taken against the *target's own* post-recovery
-        image (recovery may reduce the source log), and the delta buffer
-        starts from that image's bytes: each subsequent ``apply`` appends
-        the source tail (records are self-delimiting, so concatenation is
-        a valid log) and replays only the tail via the checkpoint.
+        Recovery keeps the streamed image verbatim, so the target's log is
+        byte-identical to the source's.  The checkpoint taken here lets
+        each subsequent ``apply`` append the source tail (records are
+        self-delimiting, so concatenation is a valid log) and replay only
+        that tail.
         """
         data = payload[_MARK.size:]
         self.store.adopt_shard(shard, data)
@@ -1482,7 +1495,6 @@ class WorkerPool:
 
     def _spec(self, worker_id: int) -> WorkerSpec:
         plan = self.config.fault_plan
-        maintenance = self.config.maintenance
         return WorkerSpec(
             worker_id=worker_id,
             n_workers=self.n_workers,
@@ -1496,18 +1508,14 @@ class WorkerPool:
             fault_seed=plan.seed if plan is not None else 0,
             armed=self._armed,
             log_dir=self.log_dir,
-            compact_at=(maintenance.compact_at
-                        if maintenance is not None else -1.0),
-            compact_min_records=(maintenance.compact_min_records
-                                 if maintenance is not None else 128),
-            checkpoint_every=(maintenance.checkpoint_every
-                              if maintenance is not None else 0),
+            maintenance=self.config.maintenance,
             transport=self.transport,
             epoch=self._epochs[worker_id],
             owned_shards=(self.routing.shards_of_worker(worker_id)
                           if self.routing is not None else None),
             replica_shards=self._replica_shards(worker_id),
             kick_policy=self.config.kick_policy,
+            engine=self.config.engine,
         )
 
     def _make_handle(self, worker_id: int) -> WorkerHandle:

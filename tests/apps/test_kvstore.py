@@ -10,6 +10,7 @@ from repro.apps import (
 )
 from repro.core.errors import TableFullError
 from repro.core.results import InsertOutcome, InsertStatus
+from repro.core.snapshot import snapshot_resizable
 from repro.workloads import distinct_keys
 
 
@@ -188,10 +189,11 @@ class TestRecovery:
             if index >= 60:
                 assert recovered.get(key) == index
 
-    def test_recovered_store_starts_with_zero_garbage(self):
-        """Replaying tombstones verbatim used to append *fresh* tombstones
-        to the recovered log; recovery must rebuild only live state."""
-        store = LogStructuredStore(expected_items=200, seed=33)
+    def test_recovered_store_keeps_the_log_image(self):
+        """Recovery keeps the surviving log as it is, superseded records
+        and tombstones included, so the recovered index equals the one
+        that never crashed; garbage is reclaimed only by compaction."""
+        store = LogStructuredStore(expected_items=200, seed=33, durable=True)
         keys = distinct_keys(80, seed=34)
         for key in keys:
             store.put(key, "v1")
@@ -199,17 +201,24 @@ class TestRecovery:
             store.put(key, "v2")  # superseded records
         for key in keys[40:60]:
             store.delete(key)  # tombstones
-        assert store.garbage_ratio > 0.0
+        garbage = store.garbage_ratio
+        assert garbage > 0.0
 
         recovered = store.recover()
-        assert recovered.garbage_ratio == 0.0
-        assert recovered.log_records == len(recovered) == 60
+        assert recovered.log_bytes == store.log_bytes
+        assert recovered.log_records == store.log_records == 140
+        assert recovered.garbage_ratio == garbage
+        assert snapshot_resizable(recovered.index) == snapshot_resizable(store.index)
         for key in keys[:40]:
             assert recovered.get(key) == "v2"
         for key in keys[40:60]:
             assert key not in recovered
         for key in keys[60:]:
             assert recovered.get(key) == "v1"
+
+        assert recovered.compact() == 80
+        assert recovered.garbage_ratio == 0.0
+        assert recovered.log_records == len(recovered) == 60
 
     def test_recover_empty_store(self):
         recovered = LogStructuredStore(expected_items=10, seed=35).recover()

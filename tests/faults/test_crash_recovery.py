@@ -64,10 +64,10 @@ def _random_ops(rng, n_ops, key_space=24):
     return ops
 
 
-def _recover(data, seed):
-    return LogStructuredStore.recover_from_bytes(
-        data, expected_items=64, seed=seed
-    )
+def _recover(data, seed=1):
+    store = LogStructuredStore(expected_items=64, seed=seed, durable=True)
+    store.recover_with_checkpoint(data)
+    return store
 
 
 class TestCrashAtEveryBoundary:
@@ -138,7 +138,7 @@ class TestCorruptionDetection:
         image = bytearray(store.log_bytes)
         image[10] ^= 0xFF  # inside the first record, not the tail
         with pytest.raises(CorruptLogError):
-            LogStructuredStore.recover_from_bytes(bytes(image))
+            _recover(bytes(image))
 
     def test_tail_bitflip_is_a_torn_write(self):
         store = LogStructuredStore(expected_items=64, seed=derive(46),
@@ -147,7 +147,7 @@ class TestCorruptionDetection:
         store.put(2, b"b")
         image = bytearray(store.log_bytes)
         image[-1] ^= 0x01  # corrupts the LAST record's CRC: torn, not fatal
-        recovered = LogStructuredStore.recover_from_bytes(bytes(image))
+        recovered = _recover(bytes(image))
         assert dict(recovered.items()) == {1: b"a"}
         assert recovered.recovery_report.torn_tail
 
@@ -163,7 +163,7 @@ class TestInjectedCrashes:
                 store.put(key, bytes([key]) * 8)
                 written[key] = bytes([key]) * 8
         assert len(written) == 4  # the 5th append tore before acking
-        recovered = LogStructuredStore.recover_from_bytes(store.log_bytes)
+        recovered = _recover(store.log_bytes)
         assert dict(recovered.items()) == written
         assert recovered.recovery_report.torn_tail
         assert recovered.recovery_report.bytes_truncated > 0
@@ -177,7 +177,7 @@ class TestInjectedCrashes:
                 store.put(key, b"v")
         # crash_after_appends persists the record before crashing: the
         # un-acked 3rd write may legitimately survive recovery
-        recovered = LogStructuredStore.recover_from_bytes(store.log_bytes)
+        recovered = _recover(store.log_bytes)
         assert dict(recovered.items()) == {1: b"v", 2: b"v", 3: b"v"}
         assert not recovered.recovery_report.torn_tail
 
@@ -188,7 +188,7 @@ class TestInjectedCrashes:
         with pytest.raises(InjectedCrash):
             for key in range(1, 50):
                 store.put(key, b"v")
-        recovered = LogStructuredStore.recover_from_bytes(store.log_bytes)
+        recovered = _recover(store.log_bytes)
         # no fault plan attached: the recovered store must take writes
         for key in range(100, 150):
             recovered.put(key, b"w")

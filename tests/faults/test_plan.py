@@ -207,6 +207,18 @@ class TestMaintenanceRules:
         rebuilt = FaultPlan.parse(plan.spec(), seed=plan.seed)
         assert rebuilt.describe() == plan.describe()
 
+    def test_spent_maintenance_strike_carries_to_a_replacement(self):
+        spec = "kill_worker_during=compaction:1; kill_worker_during=migration:1"
+        dying = FaultPlan.parse(spec, seed=0)
+        assert dying.should_kill_maintenance("compaction", 0)
+        assert dying.should_kill_maintenance("migration", 0)
+        assert dying.spent_maintenance_kills() == [0]
+
+        replacement = FaultPlan.parse(spec, seed=0)
+        replacement.mark_spent(dying.spent_maintenance_kills())
+        assert not replacement.should_kill_maintenance("compaction", 0)
+        assert replacement.should_kill_maintenance("migration", 0)
+
     def test_compaction_crash_fires_on_nth_record_once(self):
         plan = FaultPlan.parse("crash_during_compaction=3", seed=0)
         fired = [plan.on_compaction_record() for _ in range(6)]

@@ -32,6 +32,12 @@ def _model(store):
     return dict(store.items())
 
 
+def _recover(data, seed, checkpoint):
+    store = LogStructuredStore(expected_items=512, seed=seed, durable=True)
+    store.recover_with_checkpoint(data, checkpoint)
+    return store
+
+
 class TestCheckpointRoundTrip:
     def test_checkpoint_plus_tail_recovers_exact_state(self):
         store = _store_with_history(derive(0xCE))
@@ -42,9 +48,7 @@ class TestCheckpointRoundTrip:
         store.delete(1001)
         model = _model(store)
 
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, artifact, expected_items=512, seed=derive(0xCE)
-        )
+        recovered = _recover(store.log_bytes, derive(0xCE), artifact)
         assert _model(recovered) == model
         report = recovered.recovery_report
         assert report.checkpoint_loaded
@@ -58,9 +62,7 @@ class TestCheckpointRoundTrip:
         for op in range(tail):
             store.put(2000 + op, b"t%d" % op)
 
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, artifact, expected_items=512, seed=derive(0xCF)
-        )
+        recovered = _recover(store.log_bytes, derive(0xCF), artifact)
         report = recovered.recovery_report
         assert report.checkpoint_records == at_checkpoint
         assert report.tail_records_replayed == tail
@@ -75,9 +77,7 @@ class TestCheckpointRoundTrip:
 
     def test_missing_checkpoint_full_replay_without_invalid_flag(self):
         store = _store_with_history(derive(0xD1))
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, None, expected_items=512, seed=derive(0xD1)
-        )
+        recovered = _recover(store.log_bytes, derive(0xD1), None)
         assert _model(recovered) == _model(store)
         report = recovered.recovery_report
         assert not report.checkpoint_loaded
@@ -87,9 +87,7 @@ class TestCheckpointRoundTrip:
         store = _store_with_history(derive(0xD2))
         artifact = store.take_checkpoint()
         store.put(9000, b"after")
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, artifact, expected_items=512, seed=derive(0xD2)
-        )
+        recovered = _recover(store.log_bytes, derive(0xD2), artifact)
         assert "checkpoint" in recovered.recovery_report.render()
 
 
@@ -107,9 +105,7 @@ class TestTornCheckpoint:
         assert torn is not None
         assert store.checkpoints == 0  # never counted as successful
 
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, torn, expected_items=512, seed=derive(0xD3)
-        )
+        recovered = _recover(store.log_bytes, derive(0xD3), torn)
         assert _model(recovered) == _model(store)
         report = recovered.recovery_report
         assert report.checkpoint_invalid
@@ -129,9 +125,7 @@ class TestTornCheckpoint:
         torn = store.checkpoint_bytes
         assert len(torn) <= max(keep, 0)
 
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, torn, expected_items=512, seed=derive(0xD4)
-        )
+        recovered = _recover(store.log_bytes, derive(0xD4), torn)
         assert _model(recovered) == model
         assert recovered.recovery_report.checkpoint_invalid
 
@@ -161,9 +155,7 @@ class TestTornCheckpoint:
             store.take_checkpoint()
         artifact = store.take_checkpoint()  # one-shot rule is spent
         assert store.checkpoints == 1
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, artifact, expected_items=512, seed=derive(0xD6)
-        )
+        recovered = _recover(store.log_bytes, derive(0xD6), artifact)
         assert recovered.recovery_report.checkpoint_loaded
 
 
@@ -192,3 +184,33 @@ class TestDecodeCheckpoint:
         artifact = bytearray(encode_checkpoint({"version": 1, "x": 1}))
         artifact[len(artifact) // 2] ^= 0x40
         assert decode_checkpoint(bytes(artifact)) is None
+
+
+class TestCheckpointMustFitTheStore:
+    def test_old_snapshot_version_falls_back_to_full_replay(self):
+        """A CRC-valid artifact from an older snapshot format is invalid,
+        not an error: a worker restarting beside an old checkpoint file
+        must come up by full replay."""
+        store = _store_with_history(derive(0xD7))
+        payload = decode_checkpoint(store.take_checkpoint())
+        payload["index"]["version"] = 1
+        old = encode_checkpoint(payload)
+        assert decode_checkpoint(old) is not None
+
+        recovered = _recover(store.log_bytes, derive(0xD7), old)
+        report = recovered.recovery_report
+        assert report.checkpoint_invalid
+        assert not report.checkpoint_loaded
+        assert _model(recovered) == _model(store)
+
+    def test_checkpoint_taken_under_another_kick_policy_is_not_trusted(self):
+        bubbling = LogStructuredStore(expected_items=512, seed=derive(0xD8),
+                                      durable=True, kick_policy="bubbling")
+        for op in range(300):
+            bubbling.put(op, b"b%d" % op)
+        artifact = bubbling.take_checkpoint()
+
+        recovered = _recover(bubbling.log_bytes, derive(0xD8), artifact)
+        assert recovered.config.kick_policy is None
+        assert recovered.recovery_report.checkpoint_invalid
+        assert _model(recovered) == _model(bubbling)

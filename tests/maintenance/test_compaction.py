@@ -33,6 +33,12 @@ def _model(store):
     return dict(store.items())
 
 
+def _recover(data, seed, checkpoint=None):
+    store = LogStructuredStore(expected_items=256, seed=seed, durable=True)
+    store.recover_with_checkpoint(data, checkpoint)
+    return store
+
+
 class TestCompactor:
     def test_drops_garbage_preserves_live_data(self):
         store = _churned_store(derive(0xC0))
@@ -53,9 +59,7 @@ class TestCompactor:
         for key, value in _model(store).items():
             assert store.get(key) == value
         # and the rewritten image replays to the same state
-        recovered = LogStructuredStore.recover_from_bytes(
-            store.log_bytes, expected_items=256, seed=derive(0xC1)
-        )
+        recovered = _recover(store.log_bytes, derive(0xC1))
         assert _model(recovered) == _model(store)
 
     def test_compaction_clears_checkpoint(self):
@@ -100,9 +104,7 @@ class TestCompactionCrashSafety:
             assert store.log_bytes == image_before
             assert store.compactions == 0
             assert _model(store) == model
-            recovered = LogStructuredStore.recover_from_bytes(
-                store.log_bytes, expected_items=256, seed=derive(0xC5)
-            )
+            recovered = _recover(store.log_bytes, derive(0xC5))
             assert _model(recovered) == model
 
     def test_crash_then_retry_compacts_clean(self):
@@ -141,9 +143,7 @@ class TestStaleCheckpointAfterCompaction:
         stale = store.take_checkpoint()
         store.compact()
         model = _model(store)
-        recovered = LogStructuredStore.recover_with_checkpoint(
-            store.log_bytes, stale, expected_items=256, seed=derive(0xC9)
-        )
+        recovered = _recover(store.log_bytes, derive(0xC9), stale)
         report = recovered.recovery_report
         assert report.checkpoint_invalid
         assert not report.checkpoint_loaded

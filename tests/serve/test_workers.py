@@ -13,6 +13,7 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.sharded import ShardRouter, shards_of_worker, worker_of_shard
 from repro.faults import FaultPlan
+from repro.maintenance import MaintenanceConfig
 from repro.serve import (
     McCuckooClient,
     RetryPolicy,
@@ -20,6 +21,8 @@ from repro.serve import (
     WorkerServer,
 )
 from repro.serve.faultgen import FaultgenConfig, run_faultgen
+from repro.serve.stats import ServeStats
+from repro.serve.workers import WorkerPool, _ShardWorker
 from tests.seeding import derive
 
 
@@ -64,6 +67,26 @@ class TestWorkerRouting:
         flat = [shard for group in groups for shard in group]
         assert sorted(flat) == list(range(n_shards))
         assert groups == [(0, 2, 4), (1, 3)]
+
+
+class TestWorkerSpec:
+    """What a worker builds from its spec — no processes involved."""
+
+    def test_worker_store_runs_the_configured_engine(self):
+        maintenance = MaintenanceConfig.aggressive()
+        pool = WorkerPool(config(engine="python", maintenance=maintenance), 2,
+                          ServeStats(), log_dir=None)
+        worker = _ShardWorker(pool._spec(1), channel=None)
+        assert worker.store.engine.resolve() == "python"
+        for shard in worker.store.shards:
+            assert shard.index.config.engine.resolve() == "python"
+        assert worker.daemon is not None
+        assert worker.daemon.config == maintenance
+
+    def test_disabled_maintenance_builds_no_daemon(self):
+        pool = WorkerPool(config(maintenance=MaintenanceConfig(
+            compact_at=-1.0, checkpoint_every=0)), 1, ServeStats(), log_dir=None)
+        assert _ShardWorker(pool._spec(0), channel=None).daemon is None
 
 
 class TestWorkerServerOps:
