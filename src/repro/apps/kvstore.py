@@ -8,13 +8,16 @@ role McCuckoo is designed for.
 
 :class:`LogStructuredStore` composes the pieces this library already has:
 
-* an append-only :class:`ValueLog` holding (key, value) records;
-* a :class:`ResizableMcCuckoo` index mapping key → log offset (growing
-  online as the store fills);
-* compaction that rewrites only live records into a fresh log;
+* an append-only :class:`ValueLog` that is nothing but its byte image
+  of self-describing (key, value) records;
+* a :class:`ResizableMcCuckoo` index mapping key → the byte offset of
+  its record in that image (growing online as the store fills), so a
+  hit costs one decode of one record;
+* compaction that copies only live records' bytes into a fresh image;
 * crash recovery that restores a checkpointed index snapshot, when one
-  validates, and replays the rest of the log in order — the index is a
-  pure function of its config and the log (compaction excepted).
+  validates, and scans and replays only the bytes after it, in order —
+  the index is a pure function of its config and the log (compaction
+  excepted).
 
 Everything is in-memory but structured as the real system would be, with
 all index traffic accounted through the usual :class:`MemoryModel`.
@@ -28,8 +31,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..core.config import DeletionMode, TableConfig
 from ..core.engine import EngineLike
@@ -44,7 +46,7 @@ from ..memory.model import MemoryModel
 _TOMBSTONE = object()
 
 # ----------------------------------------------------------------------
-# durable record codec
+# record codec
 #
 # A serialized record is ``u32 length`` followed by ``length`` bytes:
 #   u64 key | u8 kind | u32 value-length | value bytes | u32 crc32
@@ -52,12 +54,15 @@ _TOMBSTONE = object()
 # payload: raw bytes, UTF-8 string, JSON (other picklable-by-JSON values),
 # or a tombstone (empty payload).  The length prefix lets recovery detect
 # a torn tail; the CRC detects a torn write that happens to end on a
-# record boundary, and bit rot.
+# record boundary, and bit rot.  Records are self-describing, so the log
+# is nothing but its byte image and a record's address is the byte
+# offset at which it starts.
 # ----------------------------------------------------------------------
 
 _REC_LEN = struct.Struct(">I")
 _REC_HEAD = struct.Struct(">QBI")  # key, kind, value length
 _REC_CRC = struct.Struct(">I")
+_REC_PREFIX = struct.Struct(">IQBI")  # length prefix + header, one unpack
 
 _KIND_BYTES = 0
 _KIND_STR = 1
@@ -84,9 +89,35 @@ def encode_record(key: Key, value: Any) -> bytes:
     return _REC_LEN.pack(len(body)) + body
 
 
-def _decode_value(kind: int, payload: bytes) -> Any:
+def record_at(
+    buf: Any, offset: int, end: int, check_crc: bool = False
+) -> Tuple[Key, int, int, int]:
+    """Locate the record starting at byte ``offset`` of ``buf``, whose
+    valid bytes end at ``end``: returns ``(key, kind, payload start,
+    payload end)``.  Raises :class:`IndexError` when the record does not
+    fit, its length prefix disagrees with its header, or — with
+    ``check_crc``, for bytes another process may be rewriting — it fails
+    its CRC.  A log in this process's memory needs no CRC check."""
+    if not 0 <= offset <= end - _REC_PREFIX.size:
+        raise IndexError(f"log offset {offset} out of range")
+    length, key, kind, value_length = _REC_PREFIX.unpack_from(buf, offset)
+    start = offset + _REC_PREFIX.size
+    stop = start + value_length
+    if (
+        _REC_HEAD.size + value_length + _REC_CRC.size != length
+        or stop + _REC_CRC.size > end
+    ):
+        raise IndexError(f"no record at log offset {offset}")
+    if check_crc and _REC_CRC.unpack_from(buf, stop)[0] != (
+        zlib.crc32(buf[offset + _REC_LEN.size : stop]) & 0xFFFFFFFF
+    ):
+        raise IndexError(f"record at log offset {offset} failed its CRC")
+    return key, kind, start, stop
+
+
+def _decode_value(kind: int, payload: Any) -> Any:
     if kind == _KIND_BYTES:
-        return payload
+        return bytes(payload)
     if kind == _KIND_STR:
         return payload.decode("utf-8")
     if kind == _KIND_JSON:
@@ -99,9 +130,12 @@ def _decode_value(kind: int, payload: bytes) -> Any:
 class RecoveryReport:
     """What :meth:`LogStructuredStore.recover_with_checkpoint` found and did.
 
-    When a checkpoint was restored the checkpoint/tail split is reported
-    too: ``checkpoint_records`` log records were covered by the restored
-    index snapshot and only ``tail_records_replayed`` records were replayed
+    ``records_replayed`` is the recovered log's record count and
+    ``bytes_scanned`` the bytes actually parsed.  When a checkpoint was
+    restored the checkpoint/tail split is reported too: ``checkpoint_records``
+    log records were covered by the restored index snapshot, only the
+    bytes after it were scanned, and only ``tail_records_replayed``
+    records (``tombstones_replayed`` of them tombstones) were replayed
     into the index.
     """
 
@@ -142,6 +176,8 @@ def scan_log_bytes(data: bytes) -> Tuple[List["LogRecord"], RecoveryReport]:
     treated as a torn write: everything from its start onward is dropped
     and counted in ``bytes_truncated``.  A CRC failure with intact records
     after it is not a torn write and raises :class:`CorruptLogError`.
+    Each record's ``size`` is its serialized footprint, so a record's
+    offset in ``data`` is the sum of the sizes before it.
     """
     records: List[LogRecord] = []
     report = RecoveryReport(bytes_scanned=len(data))
@@ -183,18 +219,14 @@ def scan_log_bytes(data: bytes) -> Tuple[List["LogRecord"], RecoveryReport]:
     return records, report
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One appended record; ``value`` is ``_TOMBSTONE`` for deletions.
-
+class LogRecord(NamedTuple):
+    """One decoded record; ``value`` is ``_TOMBSTONE`` for deletions and
     ``size`` is the record's serialized footprint in bytes (length prefix
-    included) when known — durable logs and :func:`scan_log_bytes` fill it
-    in; plain in-memory logs leave it 0.
-    """
+    included)."""
 
     key: Key
     value: Any
-    size: int = 0
+    size: int
 
     @property
     def is_tombstone(self) -> bool:
@@ -202,52 +234,50 @@ class LogRecord:
 
 
 class ValueLog:
-    """Append-only record log with sequential offsets."""
+    """Append-only record log held as its serialized byte image.
+
+    The image *is* the log: an offset is the byte position at which a
+    record starts, and :meth:`read` decodes that one self-describing
+    record.  ``len()`` is the record count.
+    """
 
     def __init__(self) -> None:
-        self._records: List[LogRecord] = []
+        self._image = bytearray()
+        self._count = 0
 
-    def append(self, key: Key, value: Any, size: int = 0) -> int:
-        """Append a record; returns its offset."""
-        self._records.append(LogRecord(key, value, size))
-        return len(self._records) - 1
+    def append(self, key: Key, value: Any) -> int:
+        """Append a record; returns the byte offset it starts at."""
+        offset = len(self._image)
+        self._image += encode_record(key, value)
+        self._count += 1
+        return offset
 
     def append_tombstone(self, key: Key) -> int:
         return self.append(key, _TOMBSTONE)
 
+    def copy_record(self, source: "ValueLog", offset: int) -> int:
+        """Append ``source``'s record at ``offset`` byte for byte (no
+        re-encode, no re-CRC); returns its offset here."""
+        at = len(self._image)
+        self._image += source._image[offset:offset + source.record_size(offset)]
+        self._count += 1
+        return at
+
     def read(self, offset: int) -> LogRecord:
-        if not 0 <= offset < len(self._records):
-            raise IndexError(f"log offset {offset} out of range")
-        return self._records[offset]
+        """Decode the record starting at byte ``offset`` (IndexError when
+        no record fits there)."""
+        image = self._image
+        key, kind, start, stop = record_at(image, offset, len(image))
+        return LogRecord(
+            key, _decode_value(kind, image[start:stop]), stop + _REC_CRC.size - offset
+        )
+
+    def record_size(self, offset: int) -> int:
+        """Bytes of the record at ``offset``, read from its length prefix."""
+        return _REC_LEN.size + _REC_LEN.unpack_from(self._image, offset)[0]
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def records(self) -> Iterator[Tuple[int, LogRecord]]:
-        yield from enumerate(self._records)
-
-
-class DurableValueLog(ValueLog):
-    """A :class:`ValueLog` that also maintains a serialized byte image.
-
-    The image models the on-disk log: every append serializes the record
-    and extends the image before the in-memory record list is touched, so
-    the image is what a crash would leave behind.  A :class:`FaultPlan`
-    consulted at this append/fsync boundary can tear the write (persist
-    only a prefix of the record) or crash right after it; either way
-    :class:`~repro.faults.InjectedCrash` is raised and the owning store
-    must be recovered from :attr:`image_bytes`, not used further.
-    """
-
-    def __init__(
-        self, faults: Optional[FaultPlan] = None, shard: int = 0
-    ) -> None:
-        super().__init__()
-        self._image = bytearray()
-        self._faults = faults
-        self._shard = shard
-        self._sink = None  # optional real file backing the image
-        self._synced = 0  # image bytes already flushed to the sink
+        return self._count
 
     @property
     def image_bytes(self) -> bytes:
@@ -258,6 +288,26 @@ class DurableValueLog(ValueLog):
     def image_size(self) -> int:
         """Byte length of the image without copying it."""
         return len(self._image)
+
+
+class DurableValueLog(ValueLog):
+    """A :class:`ValueLog` whose appends cross a durability boundary.
+
+    A :class:`FaultPlan` consulted at this append/fsync boundary can tear
+    the write (persist only a prefix of the record) or crash right after
+    it; either way :class:`~repro.faults.InjectedCrash` is raised and the
+    owning store must be recovered from :attr:`image_bytes`, not used
+    further.  An optional sink mirrors the image into a real file.
+    """
+
+    def __init__(
+        self, faults: Optional[FaultPlan] = None, shard: int = 0
+    ) -> None:
+        super().__init__()
+        self._faults = faults
+        self._shard = shard
+        self._sink = None  # optional real file backing the image
+        self._synced = 0  # image bytes already flushed to the sink
 
     def attach_faults(self, faults: Optional[FaultPlan], shard: int) -> None:
         self._faults = faults
@@ -290,6 +340,7 @@ class DurableValueLog(ValueLog):
     def append(self, key: Key, value: Any) -> int:
         record = encode_record(key, value)
         fault = self._faults.on_append(self._shard) if self._faults else None
+        offset = len(self._image)
         # The sink flush sits in a finally so an injected torn/crash append
         # still persists exactly the bytes the image says survived — a real
         # crash tears the file the same way it tears the image.
@@ -304,10 +355,10 @@ class DurableValueLog(ValueLog):
                     f"(shard {self._shard})"
                 )
             self._image += record
-            offset = super().append(key, value, len(record))
+            self._count += 1
             if fault is not None and fault.crash:
                 raise InjectedCrash(
-                    f"crash after append #{offset + 1} (shard {self._shard})"
+                    f"crash after append #{self._count} (shard {self._shard})"
                 )
         finally:
             self._sync()
@@ -319,18 +370,22 @@ class DurableValueLog(ValueLog):
 #
 # A checkpoint is a self-validating single-slot artifact:
 #   MAGIC | u32 length | pickle(payload) | u32 crc32(pickle bytes)
-# The payload carries a full index snapshot plus the log position it was
-# taken at and ``prefix_crc`` — the CRC of the log image up to that
-# position.  Recovery accepts the checkpoint only if the current log's
-# prefix still hashes to ``prefix_crc``; compaction rewrites the image, so
-# a stale checkpoint self-invalidates and recovery falls back to a full
+# The payload carries a full index snapshot (whose values are byte
+# offsets into the log image) plus the log position it was taken at and
+# ``prefix_crc`` — the CRC of the log image up to that position.  A
+# checkpoint is always taken at an image end, so a prefix that still
+# hashes to ``prefix_crc`` is the well-formed image it was then, and
+# recovery scans only the bytes after it.  Compaction rewrites the image,
+# so a stale checkpoint self-invalidates and recovery falls back to a full
 # replay instead of restoring an index that points into the old layout.
+# Version 1 artifacts held record ordinals where version 2 holds byte
+# offsets; they are refused like any other unreadable checkpoint.
 # ----------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"MCKP"
 _CKPT_LEN = struct.Struct(">I")
 _CKPT_CRC = struct.Struct(">I")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def encode_checkpoint(payload: Dict[str, Any]) -> bytes:
@@ -435,13 +490,13 @@ class LogStructuredStore:
         """Insert or update: points the index at the record, then appends.
 
         The index is updated *before* the log append (against the
-        prospective offset, which is just the current log length) so a
+        prospective offset, which is just the current image size) so a
         raising or failing index insert cannot leak an unreachable log
         record — leaked records would never be reclaimed and would skew
         ``garbage_ratio``.  The append itself is infallible.
         """
         k = canonical_key(key)
-        outcome = self._index_put(k, len(self._log))
+        outcome = self._index_put(k, self._log.image_size)
         self._log.append(k, value)
         self._appends_total += 1
         return outcome
@@ -548,25 +603,20 @@ class LogStructuredStore:
 
     @property
     def log_size(self) -> int:
-        """Serialized log size in bytes (0 for a non-durable store)."""
-        if isinstance(self._log, DurableValueLog):
-            return self._log.image_size
-        return 0
+        """Serialized log size in bytes."""
+        return self._log.image_size
 
     @property
     def dead_bytes(self) -> int:
-        """Bytes of the durable image held by dead records (0 if not durable).
+        """Bytes of the log image held by dead records.
 
         Computed from the log, not tracked incrementally: live bytes are
-        the summed sizes of the records the index still points at, dead is
-        the rest.  O(live) per call — this backs a stats gauge and the
-        compaction policy, neither of which sits on the hot path.
+        the summed sizes of the records the index still points at (read
+        from their length prefixes), dead is the rest.  O(live) per call —
+        this backs a stats gauge and the compaction policy, neither of
+        which sits on the hot path.
         """
-        if not isinstance(self._log, DurableValueLog):
-            return 0
-        live = sum(
-            self._log.read(offset).size for _, offset in self._index.items()
-        )
+        live = sum(self._log.record_size(offset) for _, offset in self._index.items())
         return self._log.image_size - live
 
     @property
@@ -592,18 +642,12 @@ class LogStructuredStore:
     # checkpoints
     # ------------------------------------------------------------------
 
-    def take_checkpoint(self) -> bytes:
-        """Serialize a checkpoint of the index against the current log.
-
-        The artifact is stored on the store (the single checkpoint slot a
-        crash would find — see :attr:`checkpoint_bytes`) and returned so a
-        caller can also persist it to a real file.  A ``torn_checkpoint``
-        fault rule tears the slot and raises :class:`InjectedCrash`; the
-        torn artifact fails CRC validation at recovery time and recovery
-        falls back to a full log replay.
-        """
-        image = self.log_bytes
-        payload = {
+    def checkpoint_artifact(self) -> bytes:
+        """Encode a checkpoint of the index against the current log, and
+        nothing else: the checkpoint slot is left alone and no fault rule
+        is consulted (a migration source ships one of these)."""
+        image = self._log._image
+        return encode_checkpoint({
             "version": CHECKPOINT_VERSION,
             "kind": "checkpoint",
             "shard_id": self._shard_id,
@@ -612,8 +656,20 @@ class LogStructuredStore:
             "live": self._live,
             "prefix_crc": zlib.crc32(image) & 0xFFFFFFFF,
             "index": snapshot_resizable(self._index),
-        }
-        artifact = encode_checkpoint(payload)
+        })
+
+    def take_checkpoint(self) -> bytes:
+        """Checkpoint the index against the current log.
+
+        The artifact (see :meth:`checkpoint_artifact`) is stored on the
+        store (the single checkpoint slot a crash would find — see
+        :attr:`checkpoint_bytes`) and returned so a caller can also
+        persist it to a real file.  A ``torn_checkpoint`` fault rule tears
+        the slot and raises :class:`InjectedCrash`; the torn artifact
+        fails CRC validation at recovery time and recovery falls back to
+        a full log replay.
+        """
+        artifact = self.checkpoint_artifact()
         fault = (
             self._faults.on_checkpoint_write(self._shard_id)
             if self._faults is not None
@@ -669,24 +725,14 @@ class LogStructuredStore:
 
     @property
     def log_bytes(self) -> bytes:
-        """The serialized log — the crash image for a durable store.
-
-        A non-durable store serializes its in-memory records on demand, so
-        recovery tooling works uniformly over both.
-        """
-        if isinstance(self._log, DurableValueLog):
-            return self._log.image_bytes
-        return b"".join(
-            encode_record(record.key, record.value)
-            for _, record in self._log.records()
-        )
+        """The serialized log — the crash image for a durable store."""
+        return self._log.image_bytes
 
     def recover(self) -> "LogStructuredStore":
         """Crash recovery: a new store, built as this one was, loaded from
         this store's log (and its checkpoint, when that validates) by
-        :meth:`recover_with_checkpoint`.  A non-durable store's log is its
-        in-memory records, replayed as they are.  Returns the recovered
-        store (self is untouched).
+        :meth:`recover_with_checkpoint`.  Returns the recovered store
+        (self is untouched).
         """
         fresh = LogStructuredStore(
             self._expected_items,
@@ -696,15 +742,7 @@ class LogStructuredStore:
             engine=self.config.engine,
             kick_policy=self.config.kick_policy,
         )
-        if self.durable:
-            fresh.recover_with_checkpoint(self.log_bytes, self._checkpoint)
-        else:
-            records = [record for _, record in self._log.records()]
-            report = RecoveryReport(
-                records_replayed=len(records),
-                tombstones_replayed=sum(1 for r in records if r.is_tombstone),
-            )
-            fresh._load(records, report)
+        fresh.recover_with_checkpoint(self.log_bytes, self._checkpoint)
         return fresh
 
     def recover_with_checkpoint(
@@ -714,28 +752,27 @@ class LogStructuredStore:
 
         This is the one recovery path: shard restarts, worker restarts,
         migration installs and the offline CLI verbs all build an empty
-        store the way the live one was built and call this.  The scan
-        truncates a torn tail (see :func:`scan_log_bytes`).  A
+        store the way the live one was built and call this.  A
         ``checkpoint`` is trusted only if it validates end to end: artifact
         CRC and versions intact, its ``log_position`` within the image, the
         image prefix up to there hashing to ``prefix_crc`` (compaction
-        rewrites the image, so stale checkpoints self-invalidate), the
-        prefix holding exactly the checkpointed records, and the recorded
-        index config equal to this store's.  A trusted checkpoint's index
-        is restored bit-for-bit and only the later records are replayed;
-        otherwise every record is, and ``checkpoint_invalid`` is flagged
-        if an artifact was given.  Either way the log image is kept
-        verbatim (minus a torn tail), so a later checkpoint still matches
-        the same durable file.  Returns the report, also kept on
-        ``recovery_report``.
+        rewrites the image, so stale checkpoints self-invalidate), and the
+        recorded index config equal to this store's.  A trusted
+        checkpoint's index is restored bit-for-bit and only the bytes after
+        its position are scanned and replayed; otherwise the whole image
+        is, and ``checkpoint_invalid`` is flagged if an artifact was given.
+        The scan truncates a torn tail (see :func:`scan_log_bytes`).
+        Either way the log image is kept verbatim (minus a torn tail), so
+        a later checkpoint still matches the same durable file.  Returns
+        the report, also kept on ``recovery_report``.
         """
         if len(self._log):
             raise ValueError("recovery loads into an empty store")
-        records, report = scan_log_bytes(data)
-        image = data[: len(data) - report.bytes_truncated]
         payload = decode_checkpoint(checkpoint)
-        if payload is not None and not self._checkpoint_fits(payload, image, records):
+        if payload is not None and not self._checkpoint_fits(payload, data):
             payload = None
+        position = payload["log_position"] if payload is not None else 0
+        records, report = scan_log_bytes(data[position:])
         report.checkpoint_invalid = checkpoint is not None and payload is None
         if payload is not None:
             self._index = restore_resizable(
@@ -746,51 +783,48 @@ class LogStructuredStore:
             self._last_checkpoint_at = time.monotonic()
             report.checkpoint_loaded = True
             report.checkpoint_records = payload["log_records"]
-            report.tail_records_replayed = len(records) - payload["log_records"]
-        self._load(records, report, image)
+            report.tail_records_replayed = len(records)
+            report.records_replayed += payload["log_records"]
+        self._load(data[: len(data) - report.bytes_truncated], position,
+                   records, report)
         return report
 
-    def _checkpoint_fits(
-        self, payload: Dict[str, Any], image: bytes, records: List[LogRecord]
-    ) -> bool:
+    def _checkpoint_fits(self, payload: Dict[str, Any], data: bytes) -> bool:
         position = payload["log_position"]
-        covered = payload["log_records"]
         index = payload["index"]
         return (
-            0 <= position <= len(image)
-            and zlib.crc32(memoryview(image)[:position]) & 0xFFFFFFFF
+            0 <= position <= len(data)
+            and zlib.crc32(memoryview(data)[:position]) & 0xFFFFFFFF
             == payload["prefix_crc"]
-            and covered <= len(records)
-            # the checkpointed records end exactly at its position (the
-            # tail is the short side to sum)
-            and sum(map(attrgetter("size"), records[covered:]))
-            == len(image) - position
             and index.get("version") == SNAPSHOT_VERSION
             and index.get("config") == self.config.to_dict()
         )
 
     def _load(
-        self, records: List[LogRecord], report: RecoveryReport, image: bytes = b""
+        self,
+        image: bytes,
+        position: int,
+        records: List[LogRecord],
+        report: RecoveryReport,
     ) -> None:
-        """Install ``records`` (and their serialized ``image``) as this
-        store's log, then replay the ones a restored checkpoint does not
-        cover, in log order, through the index calls :meth:`put` and
-        :meth:`delete` make.  The index then equals that of a store that
-        never crashed; compaction is the one exception, since the index
-        keeps history the compacted log no longer holds.
+        """Install ``image`` as this store's log, then replay ``records``
+        — the ones after byte ``position``, which a restored checkpoint
+        does not cover — in log order, through the index calls
+        :meth:`put` and :meth:`delete` make.  The index then equals that
+        of a store that never crashed; compaction is the one exception,
+        since the index keeps history the compacted log no longer holds.
         """
-        if isinstance(self._log, DurableValueLog):
-            self._log._image = bytearray(image)
-        self._log._records = records
-        start = report.checkpoint_records
-        self._appends_total = len(records)
-        self._appends_at_checkpoint = start
-        for offset in range(start, len(records)):
-            record = records[offset]
+        self._log._image = bytearray(image)
+        self._log._count = report.records_replayed
+        self._appends_total = report.records_replayed
+        self._appends_at_checkpoint = report.checkpoint_records
+        offset = position
+        for record in records:
             if record.is_tombstone:
                 self._index_delete(record.key)
             else:
                 self._index_put(record.key, offset)
+            offset += record.size
         report.live_keys = self._live
         self.recovery_report = report
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..memory.model import MemoryModel
 from .counters import PackedArray
@@ -72,6 +72,12 @@ class KickPolicy(ABC):
         to its failure handling (stash/rehash/fail) without burning the
         rest of ``maxloop``.  Default: never."""
         return False
+
+    def params(self) -> Dict[str, Any]:
+        """The constructor arguments this policy was built with, as plain
+        data: ``make_policy(self.name, **self.params())`` builds its twin.
+        Snapshots record them beside :meth:`state`."""
+        return {}
 
     def state(self) -> Any:
         """The policy's mutable state as plain data (``None`` when it has
@@ -136,6 +142,9 @@ class MinCounterPolicy(KickPolicy):
         current = history.get(bucket)
         if current < self._saturate_at:
             history.set(bucket, current + 1)
+
+    def params(self) -> Dict[str, Any]:
+        return {"bits": self._bits, "saturate_at": self._saturate_at}
 
     def state(self) -> bytes:
         return bytes(self._require_history()._data)
@@ -310,6 +319,13 @@ class BubblingPolicy(KickPolicy):
         labels = self._require_labels()
         return min(labels.get(b) for b in candidates) >= self._give_up_at
 
+    def params(self) -> Dict[str, Any]:
+        return {
+            "variant": self.variant,
+            "give_up_at": self._give_up_at_config,
+            "bits": self._bits,
+        }
+
     def state(self) -> bytes:
         return bytes(self._require_labels()._data)
 
@@ -325,10 +341,11 @@ POLICIES = {
 }
 
 
-def make_policy(name: str) -> KickPolicy:
-    """Instantiate a policy by its registry name."""
+def make_policy(name: str, **params: Any) -> KickPolicy:
+    """Instantiate a policy by its registry name and constructor
+    arguments (see :meth:`KickPolicy.params`)."""
     try:
-        return POLICIES[name]()
+        return POLICIES[name](**params)
     except KeyError:
         raise ConfigurationError(
             f"unknown kick policy {name!r}; options: {sorted(POLICIES)}"

@@ -24,6 +24,7 @@ from .config import DeletionMode, FailurePolicy, SiblingTracking, TableConfig
 from .errors import ConfigurationError
 from .invariants import check_blocked, check_mccuckoo
 from .mccuckoo import McCuckoo
+from .policies import make_policy
 from .results import TableEvents
 
 SNAPSHOT_VERSION = 2
@@ -118,6 +119,12 @@ def _stash_buckets(table) -> int:
     return len(table._stash._buckets) if table._stash is not None else 0
 
 
+def _policy(cfg: Dict[str, Any]):
+    """The kick policy a snapshot config names, rebuilt with its recorded
+    constructor arguments (absent from snapshots that predate them)."""
+    return make_policy(cfg["kick_policy"], **cfg.get("kick_policy_params", {}))
+
+
 def snapshot_mccuckoo(table: McCuckoo) -> Dict[str, Any]:
     """Capture a single-slot McCuckoo table's full state."""
     return {
@@ -133,6 +140,7 @@ def snapshot_mccuckoo(table: McCuckoo) -> Dict[str, Any]:
             "sibling_tracking": table.sibling_tracking.value,
             "stash_buckets": _stash_buckets(table),
             "kick_policy": table._policy.name,
+            "kick_policy_params": table._policy.params(),
         },
         "masks": list(table._masks) if table._masks is not None else None,
         **_table_state(table),
@@ -160,7 +168,7 @@ def restore_mccuckoo(data: Dict[str, Any], *, mem=None, engine=None) -> McCuckoo
         d=cfg["d"],
         seed=cfg["seed"],
         maxloop=cfg["maxloop"],
-        kick_policy=cfg["kick_policy"],
+        kick_policy=_policy(cfg),
         on_failure=FailurePolicy(cfg["on_failure"]),
         deletion_mode=DeletionMode(cfg["deletion_mode"]),
         sibling_tracking=SiblingTracking(cfg["sibling_tracking"]),
@@ -186,6 +194,7 @@ def snapshot_blocked(table: BlockedMcCuckoo) -> Dict[str, Any]:
             "deletion_mode": table.deletion_mode.value,
             "stash_buckets": _stash_buckets(table),
             "kick_policy": table._policy.name,
+            "kick_policy_params": table._policy.params(),
         },
         "slotmaps": list(table._slotmaps),
         **_table_state(table),
@@ -201,7 +210,7 @@ def restore_blocked(data: Dict[str, Any]) -> BlockedMcCuckoo:
         slots=cfg["slots"],
         seed=cfg["seed"],
         maxloop=cfg["maxloop"],
-        kick_policy=cfg["kick_policy"],
+        kick_policy=_policy(cfg),
         on_failure=FailurePolicy(cfg["on_failure"]),
         deletion_mode=DeletionMode(cfg["deletion_mode"]),
         stash_buckets=max(1, cfg["stash_buckets"]),

@@ -1,10 +1,11 @@
 """Log compaction: rewrite live records into a fresh segment.
 
 The store's append-only log accumulates one dead record per update or
-delete; compaction reclaims that space by copying only the records the
-index still points at into a fresh log and swapping it in.  Offsets
-change, so each surviving key's index entry is patched afterwards — an
-ordinary ``try_update`` that rewrites all copies.
+delete; compaction reclaims that space by copying the bytes of only the
+records the index still points at into a fresh image (verbatim: no
+re-encode, no re-CRC) and swapping it in.  Byte offsets change, so each
+surviving key's index entry is patched afterwards — an ordinary
+``try_update`` that rewrites all copies.
 
 Crash safety comes from ordering, not locking: the copy loop reads the
 old log and appends to a private fresh one, touching nothing the store
@@ -62,8 +63,7 @@ class Compactor:
                 )
             if interrupt is not None:
                 interrupt("compaction", shard)
-            record = old_log.read(offset)
-            moves.append((key, fresh.append(record.key, record.value)))
+            moves.append((key, fresh.copy_record(old_log, offset)))
 
         # ---- commit: everything above was side-effect free on the store
         store._log = fresh

@@ -59,6 +59,11 @@ DEFAULT_FAULT_SPEC = (
 
 _ABSENT = b"\x00__absent__"  # sentinel inside acceptable-value sets
 
+#: what a request may raise once the client's retries are spent; an
+#: injected fault surfaces as one of these, never as a raised run
+_CLIENT_ERRORS = (RequestTimeoutError, ServeError, ProtocolError,
+                  ConnectionError, OSError)
+
 
 @dataclass(frozen=True)
 class FaultgenConfig:
@@ -352,7 +357,7 @@ async def _drive_and_verify(
         report.retries = client.retries
         try:
             snapshot = await client.stats()
-        except (ServeError, ConnectionError, OSError):
+        except _CLIENT_ERRORS:
             snapshot = {}
         report.shard_recoveries = int(snapshot.get("shard_recoveries", 0))
         report.worker_restarts = int(snapshot.get("worker_restarts", 0))
@@ -367,7 +372,7 @@ async def _drive_and_verify(
         for key, state in sorted(states.items()):
             try:
                 value = await client.get(key)
-            except (ServeError, ConnectionError, OSError) as error:
+            except _CLIENT_ERRORS as error:
                 report.failures.append(
                     f"key {key:#x}: verification read failed: {error}"
                 )
@@ -464,7 +469,7 @@ async def _worker(
             epoch_before = epoch_of()
             try:
                 value = await client.get(key)
-            except (ServeError, ConnectionError, OSError):
+            except _CLIENT_ERRORS:
                 report.ops_unacked += 1
                 continue
             epoch_after = epoch_of()
@@ -498,8 +503,7 @@ async def _issue(operation, report: FaultgenReport) -> bool:
     """Await a write; True = acknowledged, False = outcome unknown."""
     try:
         await operation
-    except (RequestTimeoutError, ServeError, ProtocolError,
-            ConnectionError, OSError):
+    except _CLIENT_ERRORS:
         report.ops_unacked += 1
         return False
     report.ops_acked += 1

@@ -6,9 +6,13 @@ ordinary worker IPC links (``KIND_MIGRATE``):
 
 1. **snapshot** — the source freezes maintenance for the shard (its log
    must stay append-only so delta marks remain valid byte offsets) and
-   ships the full durable log image plus a mark (the image length).
-2. **install** — the target adopts the shard from the snapshot, takes a
-   checkpoint against its own recovered image, and primes a delta buffer.
+   ships the full durable log image plus a mark (the image length),
+   followed by a checkpoint of its index against that image.
+2. **install** — the target adopts the shard from the snapshot —
+   restoring the source's index from the shipped checkpoint, so the two
+   indexes are identical even after a compaction on the source — takes
+   a checkpoint against its own recovered image, and primes a delta
+   buffer.
 3. **delta / apply** — rounds of "records appended since mark" from the
    source, replayed on the target via the checkpoint (tail-only replay).
 4. **fence** — the frontend holds new writes to the shard, flushes the

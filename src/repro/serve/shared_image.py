@@ -3,8 +3,8 @@
 PR 7 made the frontend→worker hop cheap; this module removes it for the
 dominant operation.  Each worker publishes, per owned shard, a read-only
 *image* of its McCuckoo index — bucket occupancy (keys), packed copy
-counters, stash entries and value-log offsets — plus a serialized mirror
-of the shard's value log, into one ``multiprocessing.shared_memory``
+counters, stash entries and value-log offsets — plus a mirror of the
+shard's value-log byte image, into one ``multiprocessing.shared_memory``
 segment per worker.  The frontend maps the same segment and answers
 ``GET`` requests (and all-GET batch runs) directly from the bytes,
 without waking the worker process at all.
@@ -46,17 +46,10 @@ from __future__ import annotations
 import os
 import struct
 import time
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._numpy import numpy_or_none
-from ..apps.kvstore import (
-    _KIND_BYTES,
-    _REC_CRC,
-    _REC_HEAD,
-    _REC_LEN,
-    encode_record,
-)
+from ..apps.kvstore import _KIND_BYTES, record_at
 from ..core.counters import PackedArray
 from ..core.errors import ConfigurationError
 from ..hashing import DEFAULT_FAMILY
@@ -277,13 +270,11 @@ class SharedIndexImage:
 class _ShardMirror:
     """Publisher-side bookkeeping for one shard's log mirror."""
 
-    __slots__ = ("log_id", "rec_offsets", "mirror_len", "overflow", "generation")
+    __slots__ = ("log_id", "mirror_len", "generation")
 
     def __init__(self, generation: int = 0) -> None:
         self.log_id = 0
-        self.rec_offsets: List[int] = []
         self.mirror_len = 0
-        self.overflow = False
         self.generation = generation
 
 
@@ -330,39 +321,28 @@ class ShardImagePublisher:
 
         index = store.index
         log = store._log
-        records = log._records
-        if mirror.log_id != id(log) or len(records) < len(mirror.rec_offsets):
+        image = log._image
+        if mirror.log_id != id(log) or len(image) < mirror.mirror_len:
             # Log identity changed (compaction swap, crash recovery) or
             # shrank: the mirror is rebuilt from scratch under this
             # publish's seqlock bracket, and the generation bump tells
             # readers every cached assumption about the region is off.
             mirror.log_id = id(log)
-            mirror.rec_offsets = []
             mirror.mirror_len = 0
-            mirror.overflow = False
             mirror.generation += 1
-
-        # Serialize any records the mirror does not cover yet.  This runs
-        # outside the seqlock bracket on purpose: readers never chase an
-        # offset >= the published log_len, so bytes past it are writable
-        # without a version bump — and (re)encoding is the slow part.
-        new_blobs: List[Tuple[int, bytes]] = []
-        for position in range(len(mirror.rec_offsets), len(records)):
-            record = records[position]
-            blob = encode_record(record.key, record.value)
-            if mirror.mirror_len + len(blob) > layout.log_capacity:
-                mirror.overflow = True
-                break
-            mirror.rec_offsets.append(mirror.mirror_len)
-            new_blobs.append((mirror.mirror_len, blob))
-            mirror.mirror_len += len(blob)
+        # Index values are byte offsets into the log image and the mirror
+        # is a copy of it, so a publish copies only the bytes appended
+        # since the last one.
+        overflow = len(image) > layout.log_capacity
+        start = mirror.mirror_len
+        fresh = b"" if overflow else image[start:]
 
         table = index.active_table
         n_slots = table.d * table.n_buckets
         stash = table._stash
         servable = (
             not index.resizing
-            and not mirror.overflow
+            and not overflow
             and n_slots <= layout.max_slots
             and table._counters.bits == layout.counter_bits
             and (stash is None or len(stash) <= layout.max_stash)
@@ -374,9 +354,9 @@ class ShardImagePublisher:
         _U64.pack_into(buf, base, odd)
         # Log-mirror bytes are appended (or rewritten after a rebuild)
         # first: offsets published below must always point at valid bytes.
-        log_base = base + layout.log_off
-        for position, blob in new_blobs:
-            buf[log_base + position: log_base + position + len(blob)] = blob
+        log_base = base + layout.log_off + start
+        buf[log_base: log_base + len(fresh)] = fresh
+        mirror.mirror_len = start + len(fresh)
         if servable:
             self._write_index(base, table, mirror)
         n_stash = len(stash) if (servable and stash is not None) else 0
@@ -400,8 +380,7 @@ class ShardImagePublisher:
         buf = self._buf
         layout = self._layout
         n_slots = table.d * table.n_buckets
-        rec_offsets = mirror.rec_offsets
-        n_records = len(rec_offsets)
+        log_len = mirror.mirror_len
 
         keys = [
             k if type(k) is int else 0  # noqa: E721 - exact-int hot path
@@ -422,8 +401,8 @@ class ShardImagePublisher:
         values = table._values
         for slot in range(n_slots):
             value = values[slot]
-            if type(value) is int and 0 <= value < n_records:  # noqa: E721
-                offsets[slot] = rec_offsets[value] + 1
+            if type(value) is int and 0 <= value < log_len:  # noqa: E721
+                offsets[slot] = value + 1
         packed = struct.pack(f"<{n_slots}Q", *offsets)
         off = base + layout.offsets_off
         buf[off: off + len(packed)] = packed
@@ -436,8 +415,8 @@ class ShardImagePublisher:
             off = base + layout.stash_off
             for key, value in table._stash.items():
                 pointer = 0
-                if type(value) is int and 0 <= value < n_records:  # noqa: E721
-                    pointer = rec_offsets[value] + 1
+                if type(value) is int and 0 <= value < log_len:  # noqa: E721
+                    pointer = value + 1
                 _STASH_ENTRY.pack_into(buf, off, key, pointer)
                 off += _STASH_ENTRY.size
 
@@ -656,34 +635,24 @@ class SharedImageReader:
     def _read_value(
         self, base: int, key: int, offset: int, log_len: int
     ) -> Tuple[str, Optional[bytes]]:
-        """Parse one record from the log mirror with full validation."""
-        layout = self._layout
+        """Parse one record from the log mirror with full validation: the
+        record decode :meth:`ValueLog.read` uses, plus its CRC."""
         buf = self._buf
-        log_base = base + layout.log_off
-        if offset + _REC_LEN.size > log_len or log_len > layout.log_capacity:
+        log_base = base + self._layout.log_off
+        if log_len > self._layout.log_capacity:
             return ("bad", None)
-        (length,) = _REC_LEN.unpack_from(buf, log_base + offset)
-        if (
-            offset + _REC_LEN.size + length > log_len
-            or length < _REC_HEAD.size + _REC_CRC.size
-        ):
+        try:
+            stored, kind, start, stop = record_at(
+                buf, log_base + offset, log_base + log_len, check_crc=True
+            )
+        except IndexError:
             return ("bad", None)
-        start = log_base + offset + _REC_LEN.size
-        body = bytes(buf[start: start + length])
-        (crc,) = _REC_CRC.unpack(body[-_REC_CRC.size:])
-        if crc != (zlib.crc32(body[: -_REC_CRC.size]) & 0xFFFFFFFF):
-            return ("bad", None)
-        stored, kind, value_length = _REC_HEAD.unpack_from(body)
-        if (
-            stored != key
-            or kind != _KIND_BYTES
-            or _REC_HEAD.size + value_length + _REC_CRC.size != length
-        ):
+        if stored != key or kind != _KIND_BYTES:
             # A non-bytes kind (or a tombstone the index should never
             # point at) is not an error the reader can interpret — the
             # ring path handles it with full store semantics.
             return ("bad", None)
-        return ("hit", body[_REC_HEAD.size: _REC_HEAD.size + value_length])
+        return ("hit", bytes(buf[start:stop]))
 
 
 __all__ = [

@@ -805,16 +805,22 @@ class _ShardWorker:
     # -- source-side phases --------------------------------------------
 
     def _migrate_snapshot(self, shard: int, payload: bytes) -> bytes:
-        """Freeze maintenance for the shard and ship its full log image.
+        """Freeze maintenance for the shard and ship its full log image,
+        followed by a checkpoint of its index against that image.
 
         The returned mark is the image length in bytes; later ``delta``
         requests pass a mark back and receive only the records appended
         since (valid because maintenance — which would rewrite the log —
-        is suspended until release/abort).
+        is suspended until release/abort).  The checkpoint is what makes
+        the target's index the source's: after a compaction the index
+        keeps history the log no longer holds, so a replay of the image
+        alone would lay it out differently.  Encoding it leaves the
+        source's own checkpoint slot and fault plan untouched.
         """
         self._migrating_out.add(shard)
-        data = self.store.shard(shard).log_bytes
-        return _MARK.pack(len(data)) + data
+        store = self.store.shard(shard)
+        data = store.log_bytes
+        return _MARK.pack(len(data)) + data + store.checkpoint_artifact()
 
     def _migrate_delta(self, shard: int, payload: bytes) -> bytes:
         (mark,) = _MARK.unpack(payload[:_MARK.size])
@@ -848,16 +854,20 @@ class _ShardWorker:
     # -- target-side phases --------------------------------------------
 
     def _migrate_install(self, shard: int, payload: bytes) -> bytes:
-        """Adopt the shard from the snapshot image and prime delta replay.
+        """Adopt the shard from the snapshot image and checkpoint, and
+        prime delta replay.
 
         Recovery keeps the streamed image verbatim, so the target's log is
-        byte-identical to the source's.  The checkpoint taken here lets
-        each subsequent ``apply`` append the source tail (records are
+        byte-identical to the source's, and restores the source's index
+        from the shipped checkpoint.  The checkpoint taken here lets each
+        subsequent ``apply`` append the source tail (records are
         self-delimiting, so concatenation is a valid log) and replay only
         that tail.
         """
-        data = payload[_MARK.size:]
-        self.store.adopt_shard(shard, data)
+        (mark,) = _MARK.unpack_from(payload)
+        data = payload[_MARK.size:_MARK.size + mark]
+        checkpoint = payload[_MARK.size + mark:] or None
+        self.store.adopt_shard(shard, data, checkpoint)
         target = self.store.shard(shard)
         artifact = target.take_checkpoint()
         self._inbound[shard] = {

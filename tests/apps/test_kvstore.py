@@ -8,6 +8,7 @@ from repro.apps import (
     ValueLog,
     scan_log_bytes,
 )
+from repro.apps.kvstore import encode_record
 from repro.core.errors import TableFullError
 from repro.core.results import InsertOutcome, InsertStatus
 from repro.core.snapshot import snapshot_resizable
@@ -15,27 +16,47 @@ from repro.workloads import distinct_keys
 
 
 class TestValueLog:
+    """The log is its byte image: an offset is where a record starts."""
+
     def test_append_returns_sequential_offsets(self):
         log = ValueLog()
-        assert log.append(1, "a") == 0
-        assert log.append(2, "b") == 1
-        assert len(log) == 2
+        offsets = [log.append(key, "v" * key) for key in range(1, 6)]
+        assert offsets[0] == 0
+        for previous, offset in zip(offsets, offsets[1:]):
+            assert offset == previous + log.read(previous).size
+        last = offsets[-1]
+        assert log.image_size == last + log.read(last).size
+        assert len(log) == 5
 
     def test_read_roundtrip(self):
+        """bytes, str and JSON values come back as themselves, each at
+        the offset its append returned, between other records."""
         log = ValueLog()
-        offset = log.append(7, {"x": 1})
-        record = log.read(offset)
-        assert record.key == 7 and record.value == {"x": 1}
-        assert not record.is_tombstone
+        values = [b"raw\x00bytes", "text \u00e9", {"x": 1, "y": [2, 3]}, 17]
+        offsets = [log.append(key, value) for key, value in enumerate(values)]
+        for key, (offset, value) in enumerate(zip(offsets, values)):
+            record = log.read(offset)
+            assert record.key == key and record.value == value
+            assert type(record.value) is type(value)
+            assert not record.is_tombstone
+            assert record.size == len(encode_record(key, value))
 
     def test_tombstones(self):
         log = ValueLog()
+        log.append(9, b"live")
         offset = log.append_tombstone(9)
-        assert log.read(offset).is_tombstone
+        record = log.read(offset)
+        assert record.key == 9 and record.is_tombstone
+        assert offset + record.size == log.image_size
 
     def test_read_out_of_range(self):
         with pytest.raises(IndexError):
             ValueLog().read(0)
+        log = ValueLog()
+        log.append(1, b"x")
+        for offset in (-1, log.image_size, log.image_size + 100):
+            with pytest.raises(IndexError):
+                log.read(offset)
 
 
 class TestStoreBasics:
@@ -219,6 +240,25 @@ class TestRecovery:
         assert recovered.compact() == 80
         assert recovered.garbage_ratio == 0.0
         assert recovered.log_records == len(recovered) == 60
+
+    def test_non_durable_store_recovers_through_its_image(self):
+        """Every store's log is its byte image, so a non-durable store
+        recovers by the same path: checkpoint restore plus a tail scan."""
+        store = LogStructuredStore(expected_items=200, seed=36)
+        keys = distinct_keys(60, seed=37)
+        for key in keys:
+            store.put(key, {"v": key & 0xFF})
+        store.take_checkpoint()
+        covered = store.log_size
+        for key in keys[:10]:
+            store.delete(key)
+        recovered = store.recover()
+        report = recovered.recovery_report
+        assert report.checkpoint_loaded
+        assert report.bytes_scanned == store.log_size - covered
+        assert report.tail_records_replayed == report.tombstones_replayed == 10
+        assert recovered.log_bytes == store.log_bytes
+        assert dict(recovered.items()) == dict(store.items())
 
     def test_recover_empty_store(self):
         recovered = LogStructuredStore(expected_items=10, seed=35).recover()

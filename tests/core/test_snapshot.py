@@ -7,6 +7,7 @@ import pytest
 from repro import BlockedMcCuckoo, CuckooTable, DeletionMode, McCuckoo, SiblingTracking
 from repro.core import check_blocked, check_mccuckoo
 from repro.core.errors import ConfigurationError
+from repro.core.policies import BubblingPolicy
 from repro.core.snapshot import (
     load,
     restore_blocked,
@@ -69,6 +70,28 @@ class TestMcCuckooRoundTrip:
             a = table.put(key)
             b = twin.put(key)
             assert (a.status, a.kicks, a.copies) == (b.status, b.kicks, b.copies)
+        assert table._keys == twin._keys
+
+    @pytest.mark.parametrize("restore, snapshot, build", [
+        (restore_mccuckoo, snapshot_mccuckoo,
+         lambda policy: McCuckoo(64, d=3, seed=605, maxloop=50,
+                                 kick_policy=policy)),
+        (restore_blocked, snapshot_blocked,
+         lambda policy: BlockedMcCuckoo(24, d=3, slots=3, seed=606,
+                                        maxloop=50, kick_policy=policy)),
+    ], ids=["mccuckoo", "blocked"])
+    def test_policy_constructor_parameters_survive(self, restore, snapshot,
+                                                   build):
+        """A porat-shalem bubbling policy with its own give-up threshold
+        must come back as itself, not as a default bubbling policy."""
+        table = build(BubblingPolicy(variant="porat-shalem", give_up_at=6))
+        for key in distinct_keys(150, seed=607):
+            table.put(key, 1)
+        twin = restore(snapshot(table))
+        assert twin._policy.params() == table._policy.params()
+        for key in distinct_keys(40, seed=608):
+            a, b = table.put(key, 2), twin.put(key, 2)
+            assert (a.status, a.kicks, a.stashed) == (b.status, b.kicks, b.stashed)
         assert table._keys == twin._keys
 
     def test_events_preserved(self):

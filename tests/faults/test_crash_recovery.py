@@ -110,6 +110,40 @@ class TestCrashAtEveryBoundary:
                 assert report.bytes_truncated == cut - prev
                 assert report.bytes_scanned == cut
 
+    def test_torn_tail_after_checkpoint_truncates_like_full_scan(self):
+        """With a trusted checkpoint only the tail is scanned, and a cut
+        anywhere in it is truncated exactly as the full scan truncates it:
+        same state, same torn bytes, same surviving image."""
+        rng = random.Random(derive(0x7A11))
+        store = LogStructuredStore(expected_items=64, seed=derive(54),
+                                   durable=True)
+        _apply_ops(store, _random_ops(rng, 30))
+        artifact = store.take_checkpoint()
+        position = len(store.log_bytes)
+        # the tail touches only its own keys, so _apply_ops's model holds
+        tail = _apply_ops(store, [
+            (verb, 100 + key, value)
+            for verb, key, value in _random_ops(rng, 12, key_space=4)
+            if verb == "put"
+        ] + [("delete", 101, None), ("put", 101, "again")])[1:]
+        image = store.log_bytes
+
+        for prev, nxt in zip([position] + [at for at, _ in tail],
+                             [at for at, _ in tail]):
+            for cut in {prev + 1, (prev + nxt) // 2, nxt - 1, nxt}:
+                full = _recover(image[:cut], seed=derive(54))
+                fast = LogStructuredStore(expected_items=64, seed=derive(54),
+                                          durable=True)
+                report = fast.recover_with_checkpoint(image[:cut], artifact)
+                assert report.checkpoint_loaded
+                assert report.bytes_scanned == cut - position
+                expected = full.recovery_report
+                assert report.torn_tail == expected.torn_tail
+                assert report.bytes_truncated == expected.bytes_truncated
+                assert report.records_replayed == expected.records_replayed
+                assert fast.log_bytes == full.log_bytes
+                assert dict(fast.items()) == dict(full.items())
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(),
            op_seed=st.integers(min_value=0, max_value=1 << 20),

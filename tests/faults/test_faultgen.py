@@ -50,6 +50,33 @@ class TestSmokeRun:
         assert report.ok, report.render()
 
 
+class TestClientErrorsAreReported:
+    def test_protocol_errors_on_reads_land_in_the_report(self, monkeypatch):
+        """A read whose retries end in a ProtocolError (a reply frame that
+        kept failing its checksum) is an unacked op mid-run and a failed
+        verification read at the end; STATS failing the same way leaves
+        the counters at zero.  None of it may raise out of the run."""
+        from repro.serve.client import McCuckooClient
+        from repro.serve.protocol import ProtocolError
+
+        async def corrupt(self, *args, **kwargs):
+            raise ProtocolError("frame checksum mismatch")
+
+        monkeypatch.setattr(McCuckooClient, "get", corrupt)
+        monkeypatch.setattr(McCuckooClient, "stats", corrupt)
+        config = dataclasses.replace(
+            FaultgenConfig.smoke(seed=derive(9)), faults="busy=0.01")
+        report = run_config(config)
+        assert not report.ok
+        assert report.reads_checked == 0
+        assert report.verified_keys == 0
+        assert report.failures
+        assert all("verification read failed: frame checksum mismatch"
+                   in failure for failure in report.failures)
+        assert report.ops_acked + report.ops_unacked == report.ops_issued
+        assert report.shard_recoveries == 0
+
+
 class TestConfigShapes:
     def test_custom_fault_spec(self):
         config = dataclasses.replace(

@@ -10,8 +10,13 @@ index.
 
 import pytest
 
-from repro.apps import LogStructuredStore
-from repro.apps.kvstore import decode_checkpoint, encode_checkpoint
+from repro.apps import CorruptLogError, LogStructuredStore
+from repro.apps import kvstore
+from repro.apps.kvstore import (
+    CHECKPOINT_VERSION,
+    decode_checkpoint,
+    encode_checkpoint,
+)
 from repro.faults import FaultPlan, InjectedCrash
 from repro.maintenance import Checkpointer
 from tests.seeding import derive
@@ -82,6 +87,38 @@ class TestCheckpointRoundTrip:
         report = recovered.recovery_report
         assert not report.checkpoint_loaded
         assert not report.checkpoint_invalid  # absent, not damaged
+
+    def test_trusted_checkpoint_scans_only_the_tail(self, monkeypatch):
+        """Recovery CRCs the checkpointed prefix and parses only the bytes
+        after ``log_position``: the one ``scan_log_bytes`` call sees
+        exactly the tail."""
+        store = _store_with_history(derive(0xC0))
+        artifact = store.take_checkpoint()
+        position = decode_checkpoint(artifact)["log_position"]
+        for op in range(30):
+            store.put(op % 7, b"tail%04d" % op)
+        store.delete(3)
+        image = store.log_bytes
+        assert position == len(image) - sum(
+            record.size for record in kvstore.scan_log_bytes(image[position:])[0]
+        )
+
+        scanned = []
+        scan = kvstore.scan_log_bytes
+        monkeypatch.setattr(
+            kvstore, "scan_log_bytes",
+            lambda data: scanned.append(len(data)) or scan(data),
+        )
+        recovered = _recover(image, derive(0xC0), artifact)
+        report = recovered.recovery_report
+        assert scanned == [len(image) - position]
+        assert report.bytes_scanned == len(image) - position
+        assert report.checkpoint_loaded
+        assert report.tail_records_replayed == 31
+        assert report.records_replayed == store.log_records
+        assert recovered.log_bytes == image
+        assert _model(recovered) == _model(store)
+        assert dict(recovered.index.items()) == dict(store.index.items())
 
     def test_render_mentions_checkpoint_coverage(self):
         store = _store_with_history(derive(0xD2))
@@ -161,7 +198,7 @@ class TestTornCheckpoint:
 
 class TestDecodeCheckpoint:
     def test_decode_round_trip(self):
-        payload = {"version": 1, "kind": "checkpoint", "n": 42}
+        payload = {"version": CHECKPOINT_VERSION, "kind": "checkpoint", "n": 42}
         assert decode_checkpoint(encode_checkpoint(payload)) == payload
 
     @pytest.mark.parametrize(
@@ -202,6 +239,44 @@ class TestCheckpointMustFitTheStore:
         assert report.checkpoint_invalid
         assert not report.checkpoint_loaded
         assert _model(recovered) == _model(store)
+
+    def test_version_1_artifact_falls_back_to_full_replay(self):
+        """Version 1 indexes held record ordinals, not byte offsets: such
+        an artifact would pass every other check and then serve the wrong
+        records, so it must mean a full replay."""
+        store = _store_with_history(derive(0xDA))
+        payload = decode_checkpoint(store.take_checkpoint())
+        payload["version"] = 1
+        old = encode_checkpoint(payload)
+
+        recovered = _recover(store.log_bytes, derive(0xDA), old)
+        report = recovered.recovery_report
+        assert report.checkpoint_invalid
+        assert not report.checkpoint_loaded
+        assert report.bytes_scanned == len(store.log_bytes)
+        assert _model(recovered) == _model(store)
+
+    def test_corrupt_prefix_distrusts_checkpoint_and_full_scan_raises(self):
+        """A byte flipped inside the checkpointed prefix fails the prefix
+        CRC, so the checkpoint is not trusted and the full scan finds the
+        mid-log corruption exactly as it would without one."""
+        store = _store_with_history(derive(0xDB))
+        artifact = store.take_checkpoint()
+        store.put(4000, b"after the checkpoint")
+        image = bytearray(store.log_bytes)
+        image[12] ^= 0x20  # inside the first record
+        scanned = []
+        scan = kvstore.scan_log_bytes
+
+        def spy(data):
+            scanned.append(len(data))
+            return scan(data)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kvstore, "scan_log_bytes", spy)
+            with pytest.raises(CorruptLogError):
+                _recover(bytes(image), derive(0xDB), artifact)
+        assert scanned == [len(image)]
 
     def test_checkpoint_taken_under_another_kick_policy_is_not_trusted(self):
         bubbling = LogStructuredStore(expected_items=512, seed=derive(0xD8),

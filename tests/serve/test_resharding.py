@@ -13,12 +13,14 @@ log file.
 """
 
 import asyncio
+import copy
 import os
 import signal
 
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.snapshot import snapshot_resizable
 from repro.faults import FaultPlan
 from repro.serve import (
     McCuckooClient,
@@ -28,6 +30,8 @@ from repro.serve import (
     shm_available,
 )
 from repro.serve.faultgen import FaultgenConfig, run_faultgen
+from repro.serve.stats import ServeStats
+from repro.serve.workers import WorkerPool, _ShardWorker
 from tests.seeding import derive
 
 pytestmark = pytest.mark.timeout(120)
@@ -144,6 +148,39 @@ class TestBasicMigration:
                     assert 0 in restarted.hello["shards"]
                     await audit(client, expected)
         run(scenario())
+
+
+class TestMigratedIndex:
+    """The target of a migration must hold the source's index, not just
+    its key map: the two continue identically."""
+
+    def test_migration_after_compaction_keeps_the_source_index(self):
+        # 120 keys in a 128-key shard: loaded enough that kicks differ
+        pool = WorkerPool(config(kick_policy="bubbling", expected_items=512),
+                          2, ServeStats(), log_dir=None)
+        source = _ShardWorker(pool._spec(0), channel=None)
+        target = _ShardWorker(pool._spec(1), channel=None)
+        keys = [key for key in range(1, 5000)
+                if source.store.shard_index(key) == 0][:120]
+        shard = source.store.shard(0)
+        for op in range(300):
+            shard.put(keys[(op * 7) % len(keys)], b"v%d" % op)
+        assert shard.compact() > 0
+
+        target._migrate_install(0, source._migrate_snapshot(0, b""))
+        migrated = target.store.shard(0)
+        assert migrated.recovery_report.checkpoint_loaded
+        assert migrated.log_bytes == shard.log_bytes
+        assert snapshot_resizable(migrated.index) == \
+            snapshot_resizable(shard.index)
+        # the source's checkpoint slot was left alone
+        assert shard.checkpoint_bytes is None
+
+        ours, theirs = copy.deepcopy(shard.index), copy.deepcopy(migrated.index)
+        for i in range(60):
+            a, b = ours.put(10_000_000 + i, i), theirs.put(10_000_000 + i, i)
+            assert (a.status, a.kicks, a.stashed) == \
+                (b.status, b.kicks, b.stashed)
 
 
 # (victim_worker, consult_count, commits) — the full phase matrix; see
