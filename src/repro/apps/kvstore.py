@@ -785,8 +785,9 @@ class LogStructuredStore:
             report.checkpoint_records = payload["log_records"]
             report.tail_records_replayed = len(records)
             report.records_replayed += payload["log_records"]
-        self._load(data[: len(data) - report.bytes_truncated], position,
-                   records, report)
+        # A view, not a slice: the image is copied once, by _load.
+        self._load(memoryview(data)[: len(data) - report.bytes_truncated],
+                   position, records, report)
         return report
 
     def _checkpoint_fits(self, payload: Dict[str, Any], data: bytes) -> bool:
@@ -802,7 +803,7 @@ class LogStructuredStore:
 
     def _load(
         self,
-        image: bytes,
+        image: memoryview,
         position: int,
         records: List[LogRecord],
         report: RecoveryReport,

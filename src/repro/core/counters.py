@@ -24,6 +24,9 @@ _SUPPORTED_BITS = (1, 2, 4, 8)
 #: counters per 64-bit SRAM word, the granularity PER_WORD charging bills at
 _WORD_BITS = 64
 
+# Resolved once for the scalar accessors (an Enum member lookup is slow).
+_READ, _WRITE = Op.READ, Op.WRITE
+
 
 class PackedArray:
     """``length`` unsigned integers of ``bits`` bits each, byte-packed."""
@@ -92,18 +95,23 @@ class PackedArray:
     def get(self, index: int) -> int:
         """Read one counter, charging one on-chip read."""
         if self._mem is not None:
-            self._mem.record(self._tier, Op.READ, self._label)
+            self._mem.record(self._tier, _READ, self._label)
         return self.peek(index)
 
     def set(self, index: int, value: int) -> None:
         """Write one counter, charging one on-chip write."""
         if self._mem is not None:
-            self._mem.record(self._tier, Op.WRITE, self._label)
+            self._mem.record(self._tier, _WRITE, self._label)
         self.poke(index, value)
 
     def get_many(self, indices: List[int]) -> List[int]:
-        """Read several counters (one charged access each)."""
-        return [self.get(i) for i in indices]
+        """Read several counters: one charged access each, as ``get`` would
+        charge them, recorded in a single call whatever the charging mode."""
+        if not indices:
+            return []
+        if self._mem is not None:
+            self._mem.record(self._tier, _READ, self._label, len(indices))
+        return self._unpack(indices)
 
     def get_block(self, indices: Sequence[int]) -> List[int]:
         """Bulk read for the batched kernels: values in one pass, charged
@@ -126,6 +134,11 @@ class PackedArray:
             )
         if not indices:
             return []
+        return self._unpack(indices)
+
+    def _unpack(self, indices: Sequence[int]) -> List[int]:
+        """The counters at a non-empty ``indices``, bounds-checked and
+        unaccounted, in one pass over the packed bytes."""
         if min(indices) < 0 or max(indices) >= self.length:
             bad = [i for i in indices if not 0 <= i < self.length]
             raise IndexError(f"index {bad[0]} out of range [0, {self.length})")
@@ -155,6 +168,17 @@ class PackedArray:
             self.poke(index, value)
 
     # -- vectorized access (NumPy engine) ------------------------------------
+
+    def peek_array(self) -> Any:
+        """Every counter as a NumPy ``uint8`` array, unaccounted: the
+        packed bytes unpacked in one shot (for invariant checks)."""
+        np = numpy_or_none()
+        if np is None:  # pragma: no cover - callers gate on numpy
+            raise RuntimeError("peek_array requires numpy")
+        view = np.frombuffer(self._data, dtype=np.uint8)
+        shifts = np.arange(self._per_byte, dtype=np.uint8) * np.uint8(self.bits)
+        unpacked = (view[:, None] >> shifts) & np.uint8(self._mask)
+        return unpacked.reshape(-1)[: self.length]
 
     def get_block_array(self, indices: Any) -> Any:
         """Vectorized :meth:`get_block` over a NumPy integer index array.

@@ -8,8 +8,9 @@ raise :class:`InvariantViolationError` listing all broken conditions.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, List
 
+from .._numpy import numpy_or_none
 from .blocked import BlockedMcCuckoo
 from .config import DeletionMode
 from .errors import InvariantViolationError
@@ -26,7 +27,83 @@ def check_mccuckoo(table: McCuckoo) -> None:
     4. Distinct live keys equal the table's item count.
     5. Without deletions, every stashed item still sees counter 1 and a set
        flag on all of its candidates.
+
+    With NumPy importable, :func:`_mccuckoo_sound` screens all five as
+    array operations first; the per-bucket loop of
+    :func:`_mccuckoo_problems` runs only when it finds an anomaly (and
+    always without NumPy), and it alone names what is broken.
     """
+    np = numpy_or_none()
+    if np is not None and _mccuckoo_sound(table, np):
+        return
+    problems = _mccuckoo_problems(table)
+    if problems:
+        raise InvariantViolationError("; ".join(problems))
+
+
+def _mccuckoo_sound(table: McCuckoo, np: Any) -> bool:
+    """Array pre-screen of :func:`check_mccuckoo`: ``True`` when every
+    invariant holds, ``False`` on any anomaly (or on a key or bitmap that
+    does not even fit the arrays), leaving the diagnosis to the loop.
+
+    Every copy of an item lies among its candidates, so a live bucket's
+    copies are the candidates whose owner is its key; when each live
+    bucket's copy count equals its counter, all copies share one counter.
+    """
+    counters = table._counters.peek_array()
+    live = np.flatnonzero(counters)
+    live_buckets = live.tolist()
+    keys = table._keys
+    live_keys = [keys[bucket] for bucket in live_buckets]
+    if None in live_keys or len(set(live_keys)) != table.main_items:
+        return False
+    try:
+        key_arr = np.array(live_keys, dtype=np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        return False
+    d, n = table.d, table.n_buckets
+    offsets = np.arange(d, dtype=np.int64) * np.int64(n)
+    cands = table._family.candidates_matrix(table._functions, key_arr, n) + offsets
+    if not (cands[np.arange(live.size), live // n] == live).all():
+        return False  # a key does not hash to its bucket
+    owner = np.zeros(table.capacity, dtype=np.uint64)
+    owner[live] = key_arr
+    is_copy = (counters[cands] > 0) & (owner[cands] == key_arr[:, None])
+    live_counters = counters[live]
+    if not (is_copy.sum(axis=1) == live_counters).all():
+        return False
+    if table._masks is not None:
+        try:
+            masks = np.array(
+                [table._masks[bucket] for bucket in live_buckets], dtype=np.int64
+            )
+        except (OverflowError, TypeError, ValueError):
+            return False
+        position_bits = np.int64(1) << np.arange(d, dtype=np.int64)
+        if not ((is_copy * position_bits).sum(axis=1) == masks).all():
+            return False
+    values = table._values
+    first_value = {}
+    for i in np.flatnonzero(live_counters > 1).tolist():
+        value = values[live_buckets[i]]
+        if first_value.setdefault(live_keys[i], value) != value:
+            return False
+    stash = table.stash
+    if stash is not None and len(stash) and table.deletion_mode is DeletionMode.DISABLED:
+        try:
+            stashed = np.array([key for key, _ in stash.items()], dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            return False
+        scands = table._family.candidates_matrix(table._functions, stashed, n) + offsets
+        if not (counters[scands] == 1).all():
+            return False
+        if not table._flags.peek_array()[scands].all():
+            return False
+    return True
+
+
+def _mccuckoo_problems(table: McCuckoo) -> List[str]:
+    """The reference per-bucket check: every broken condition, described."""
     problems: List[str] = []
     live_keys = {}
     for bucket in range(table.capacity):
@@ -83,8 +160,7 @@ def check_mccuckoo(table: McCuckoo) -> None:
                     )
                 if not table._flags.test(b):
                     problems.append(f"stashed key {key:#x}: flag unset at {b}")
-    if problems:
-        raise InvariantViolationError("; ".join(problems))
+    return problems
 
 
 def check_blocked(table: BlockedMcCuckoo) -> None:

@@ -33,6 +33,18 @@ class InsertOutcome:
     collided: bool = False
     """True when every candidate held a sole copy (a "real" collision)."""
 
+    @classmethod
+    def updated(cls, copies: int) -> "InsertOutcome":
+        """An in-place update of ``copies`` copies, built directly in
+        ``__dict__`` for the update kernel (see ``LookupOutcome.hit``)."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["status"] = InsertStatus.UPDATED
+        fields["kicks"] = 0
+        fields["copies"] = copies
+        fields["collided"] = False
+        return self
+
     @property
     def stored(self) -> bool:
         return self.status in (InsertStatus.STORED, InsertStatus.UPDATED)

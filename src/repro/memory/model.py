@@ -32,6 +32,12 @@ class Op(Enum):
     WRITE = "write"
 
 
+# Members resolved once: looking a member up on its Enum class costs more
+# than the rest of record(), which runs on every accounted access.
+_ON_CHIP, _OFF_CHIP = Tier.ON_CHIP, Tier.OFF_CHIP
+_READ, _WRITE = Op.READ, Op.WRITE
+
+
 class CounterCharging(Enum):
     """How bulk counter reads (:meth:`PackedArray.get_block`) are charged.
 
@@ -124,8 +130,8 @@ class MemoryModel:
         """Record ``count`` accesses of the given kind."""
         if count < 0:
             raise ValueError("access count must be non-negative")
-        bucket = self.on_chip if tier is Tier.ON_CHIP else self.off_chip
-        if op is Op.READ:
+        bucket = self.on_chip if tier is _ON_CHIP else self.off_chip
+        if op is _READ:
             bucket.reads += count
         else:
             bucket.writes += count
@@ -160,16 +166,16 @@ class MemoryModel:
             self.record(tier, op, label, n_counters)
 
     def onchip_read(self, label: str = "", count: int = 1) -> None:
-        self.record(Tier.ON_CHIP, Op.READ, label, count)
+        self.record(_ON_CHIP, _READ, label, count)
 
     def onchip_write(self, label: str = "", count: int = 1) -> None:
-        self.record(Tier.ON_CHIP, Op.WRITE, label, count)
+        self.record(_ON_CHIP, _WRITE, label, count)
 
     def offchip_read(self, label: str = "", count: int = 1) -> None:
-        self.record(Tier.OFF_CHIP, Op.READ, label, count)
+        self.record(_OFF_CHIP, _READ, label, count)
 
     def offchip_write(self, label: str = "", count: int = 1) -> None:
-        self.record(Tier.OFF_CHIP, Op.WRITE, label, count)
+        self.record(_OFF_CHIP, _WRITE, label, count)
 
     # -- observation -------------------------------------------------------
 
