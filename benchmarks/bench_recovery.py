@@ -37,7 +37,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 MIN_SPEEDUP = 1.5
 
 #: checkpointed restart may not slow down more than this against the
-#: committed baseline (shape-matched runs only; see compare_to_baseline)
+#: committed baseline, in time and as a share of full replay in the same
+#: run (shape-matched runs only; see compare_to_baseline)
 MAX_REGRESSION = 0.30
 
 #: checkpoint restart at the largest history over the smallest
