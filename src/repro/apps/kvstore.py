@@ -40,7 +40,7 @@ from ..core.resize import ResizableMcCuckoo
 from ..core.results import InsertOutcome
 from ..core.snapshot import SNAPSHOT_VERSION, restore_resizable, snapshot_resizable
 from ..faults import FaultPlan, InjectedCrash
-from ..hashing import Key, KeyLike, canonical_key
+from ..hashing import MASK64, Key, KeyLike, canonical_key
 from ..memory.model import MemoryModel
 
 _TOMBSTONE = object()
@@ -63,6 +63,10 @@ _REC_LEN = struct.Struct(">I")
 _REC_HEAD = struct.Struct(">QBI")  # key, kind, value length
 _REC_CRC = struct.Struct(">I")
 _REC_PREFIX = struct.Struct(">IQBI")  # length prefix + header, one unpack
+# record_at sits on every GET hit: its sizes and unpacker as plain globals
+_PREFIX_SIZE = _REC_PREFIX.size
+_FRAME_SIZE = _REC_HEAD.size + _REC_CRC.size
+_unpack_prefix = _REC_PREFIX.unpack_from
 
 _KIND_BYTES = 0
 _KIND_STR = 1
@@ -98,15 +102,12 @@ def record_at(
     fit, its length prefix disagrees with its header, or — with
     ``check_crc``, for bytes another process may be rewriting — it fails
     its CRC.  A log in this process's memory needs no CRC check."""
-    if not 0 <= offset <= end - _REC_PREFIX.size:
+    if not 0 <= offset <= end - _PREFIX_SIZE:
         raise IndexError(f"log offset {offset} out of range")
-    length, key, kind, value_length = _REC_PREFIX.unpack_from(buf, offset)
-    start = offset + _REC_PREFIX.size
+    length, key, kind, value_length = _unpack_prefix(buf, offset)
+    start = offset + _PREFIX_SIZE
     stop = start + value_length
-    if (
-        _REC_HEAD.size + value_length + _REC_CRC.size != length
-        or stop + _REC_CRC.size > end
-    ):
+    if value_length + _FRAME_SIZE != length or stop + _REC_CRC.size > end:
         raise IndexError(f"no record at log offset {offset}")
     if check_crc and _REC_CRC.unpack_from(buf, stop)[0] != (
         zlib.crc32(buf[offset + _REC_LEN.size : stop]) & 0xFFFFFFFF
@@ -116,12 +117,13 @@ def record_at(
 
 
 def _decode_value(kind: int, payload: Any) -> Any:
+    """The value a record's payload (any bytes-like object) encodes."""
     if kind == _KIND_BYTES:
         return bytes(payload)
     if kind == _KIND_STR:
-        return payload.decode("utf-8")
+        return str(payload, "utf-8")
     if kind == _KIND_JSON:
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(str(payload, "utf-8"))
     assert kind == _KIND_TOMBSTONE
     return _TOMBSTONE
 
@@ -180,41 +182,44 @@ def scan_log_bytes(data: bytes) -> Tuple[List["LogRecord"], RecoveryReport]:
     offset in ``data`` is the sum of the sizes before it.
     """
     records: List[LogRecord] = []
+    append = records.append
     report = RecoveryReport(bytes_scanned=len(data))
-    pos = 0
-    while pos < len(data):
-        start = pos
-        if pos + _REC_LEN.size > len(data):
+    end = len(data)
+    pos = tombstones = 0
+    # Fields are unpacked in place at their offsets: only the CRC'd span
+    # and the payload are sliced out of ``data``.
+    while pos < end:
+        if pos + _REC_LEN.size > end:
             break  # torn length prefix
         (length,) = _REC_LEN.unpack_from(data, pos)
-        pos += _REC_LEN.size
-        if pos + length > len(data):
-            pos = start
+        stop = pos + _REC_LEN.size + length
+        if stop > end:
             break  # torn record body
-        body = data[pos : pos + length]
-        pos += length
         if length < _REC_HEAD.size + _REC_CRC.size:
-            pos = start
             break  # can't even hold a header + CRC: torn garbage tail
-        (crc,) = _REC_CRC.unpack(body[-_REC_CRC.size:])
-        if crc != (zlib.crc32(body[: -_REC_CRC.size]) & 0xFFFFFFFF):
-            if pos < len(data):
+        crc_at = stop - _REC_CRC.size
+        (crc,) = _REC_CRC.unpack_from(data, crc_at)
+        if crc != (zlib.crc32(data[pos + _REC_LEN.size : crc_at]) & 0xFFFFFFFF):
+            if stop < end:
                 raise CorruptLogError(
-                    f"record at byte {start} failed CRC with "
-                    f"{len(data) - pos} bytes of log after it"
+                    f"record at byte {pos} failed CRC with "
+                    f"{end - stop} bytes of log after it"
                 )
-            pos = start
             break  # tail record with bad CRC: torn write on the boundary
-        key, kind, value_length = _REC_HEAD.unpack_from(body)
-        payload = body[_REC_HEAD.size : _REC_HEAD.size + value_length]
-        if len(payload) != value_length:
-            pos = start
+        _, key, kind, value_length = _unpack_prefix(data, pos)
+        if _PREFIX_SIZE + value_length > _REC_LEN.size + length:
             break
-        records.append(LogRecord(key, _decode_value(kind, payload), pos - start))
-        report.records_replayed += 1
-        if records[-1].is_tombstone:
-            report.tombstones_replayed += 1
-    report.bytes_truncated = len(data) - pos
+        append(LogRecord(
+            key,
+            _decode_value(kind, data[pos + _PREFIX_SIZE : pos + _PREFIX_SIZE + value_length]),
+            stop - pos,
+        ))
+        if kind == _KIND_TOMBSTONE:
+            tombstones += 1
+        pos = stop
+    report.records_replayed = len(records)
+    report.tombstones_replayed = tombstones
+    report.bytes_truncated = end - pos
     report.torn_tail = report.bytes_truncated > 0
     return records, report
 
@@ -272,6 +277,14 @@ class ValueLog:
             key, _decode_value(kind, image[start:stop]), stop + _REC_CRC.size - offset
         )
 
+    def value_at(self, offset: int, key: Key) -> Any:
+        """The value of ``key``'s live record at byte ``offset``, decoded
+        straight from the image without building a :class:`LogRecord`."""
+        image = self._image
+        k, kind, start, stop = record_at(image, offset, len(image))
+        assert k == key and kind != _KIND_TOMBSTONE
+        return _decode_value(kind, image[start:stop])
+
     def record_size(self, offset: int) -> int:
         """Bytes of the record at ``offset``, read from its length prefix."""
         return _REC_LEN.size + _REC_LEN.unpack_from(self._image, offset)[0]
@@ -288,6 +301,13 @@ class ValueLog:
     def image_size(self) -> int:
         """Byte length of the image without copying it."""
         return len(self._image)
+
+    @property
+    def image_view(self) -> memoryview:
+        """The image as a read-only view, without a copy.  The image
+        cannot grow while the view is held (an append raises
+        :class:`BufferError`), so release it before the next write."""
+        return memoryview(self._image).toreadonly()
 
 
 class DurableValueLog(ValueLog):
@@ -522,50 +542,44 @@ class LogStructuredStore:
 
     def get(self, key: KeyLike, default: Any = None) -> Any:
         k = canonical_key(key)
-        lookup = self._index.lookup(k)
-        if not lookup.found:
-            return default
-        self.mem.offchip_read("value-log")
-        record = self._log.read(lookup.value)
-        assert record.key == k and not record.is_tombstone
-        return record.value
+        return self._read_values([k], [self._index.lookup(k)], default)[0]
 
-    def get_many(self, keys: List[KeyLike], default: Any = None) -> List[Any]:
+    def get_many(
+        self, keys: List[KeyLike], default: Any = None, rows: Any = None
+    ) -> List[Any]:
         """Batched :meth:`get`: one value (or ``default``) per key, in order.
 
         Index probes go through the batched lookup kernel; the log reads
         for the hits are charged in a single accounting call, so the
-        off-chip totals equal a loop of scalar ``get`` calls.
+        off-chip totals equal a loop of scalar ``get`` calls.  ``rows``
+        are the keys' candidate ids in the index's active table, hashed by
+        the caller (:meth:`ResizableMcCuckoo.lookup_many`); ``keys`` must
+        then be canonical.
         """
-        ks = [canonical_key(key) for key in keys]
-        return self._read_values(ks, self._index.lookup_many(ks), default)
-
-    def get_many_u64(self, keys_u64: Any, default: Any = None) -> List[Any]:
-        """:meth:`get_many` over an already-canonical ``uint64`` key array.
-
-        Transport fast path: wire keys are u64 by construction, so the
-        array (typically a zero-copy view over a shared-memory ring slot)
-        feeds the index's vectorized kernel directly — no per-key
-        canonicalization, no array rebuild.
-        """
-        lookups = self._index.lookup_many_u64(keys_u64)
-        return self._read_values(keys_u64.tolist(), lookups, default)
+        if rows is None:
+            keys = [
+                key & MASK64 if type(key) is int else canonical_key(key)
+                for key in keys
+            ]
+        return self._read_values(keys, self._index.lookup_many(keys, rows=rows), default)
 
     def _read_values(self, ks: List[int], lookups: List[Any], default: Any) -> List[Any]:
-        """Shared log-read tail of the batched get paths: the hits are
-        charged in a single accounting call, so the off-chip totals equal
-        a loop of scalar ``get`` calls."""
-        hits = sum(1 for lookup in lookups if lookup.found)
+        """The log-read tail of :meth:`get_many`: each hit's value is read
+        with :meth:`ValueLog.value_at`, and the hits are charged in a
+        single accounting call, so the off-chip totals equal a loop of
+        scalar ``get`` calls."""
+        value_at = self._log.value_at
+        hits = 0
+        out: List[Any] = []
+        append = out.append
+        for k, lookup in zip(ks, lookups):
+            if lookup.found:
+                hits += 1
+                append(value_at(lookup.value, k))
+            else:
+                append(default)
         if hits:
             self.mem.offchip_read("value-log", hits)
-        out: List[Any] = []
-        for k, lookup in zip(ks, lookups):
-            if not lookup.found:
-                out.append(default)
-                continue
-            record = self._log.read(lookup.value)
-            assert record.key == k and not record.is_tombstone
-            out.append(record.value)
         return out
 
     def __contains__(self, key: KeyLike) -> bool:
@@ -584,7 +598,7 @@ class LogStructuredStore:
 
     def items(self) -> Iterator[Tuple[Key, Any]]:
         for key, offset in self._index.items():
-            yield key, self._log.read(offset).value
+            yield key, self._log.value_at(offset, key)
 
     # ------------------------------------------------------------------
     # maintenance
@@ -728,6 +742,11 @@ class LogStructuredStore:
         """The serialized log — the crash image for a durable store."""
         return self._log.image_bytes
 
+    @property
+    def log_view(self) -> memoryview:
+        """The serialized log without a copy (see :attr:`ValueLog.image_view`)."""
+        return self._log.image_view
+
     def recover(self) -> "LogStructuredStore":
         """Crash recovery: a new store, built as this one was, loaded from
         this store's log (and its checkpoint, when that validates) by
@@ -742,7 +761,8 @@ class LogStructuredStore:
             engine=self.config.engine,
             kick_policy=self.config.kick_policy,
         )
-        fresh.recover_with_checkpoint(self.log_bytes, self._checkpoint)
+        with self.log_view as image:
+            fresh.recover_with_checkpoint(image, self._checkpoint)
         return fresh
 
     def recover_with_checkpoint(

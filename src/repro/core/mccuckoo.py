@@ -19,7 +19,6 @@ buckets and tracks the number of live copies per bucket in an on-chip
 from __future__ import annotations
 
 import random
-from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -51,9 +50,32 @@ from .results import DeleteOutcome, InsertOutcome, InsertStatus, LookupOutcome
 from .stash import OffChipStash
 
 
-# Infinite stream of False: stands in for the NumPy front-end's screen and
-# all-ones masks when the Python front-end drives the shared scan loop.
-_REPEAT_FALSE = repeat(False)
+# A counter row holds values 0..d, so d=3 has at most 64 distinct rows; the
+# cap on a table's plan memo only matters for a large d.
+_PLAN_MEMO_CAP = 4096
+
+# The outcome of a key the counters alone prove absent (immutable, shared).
+_SCREENED_MISS = LookupOutcome.miss(0)
+
+
+def probe_plan(vals: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The lookup principles' probe order for one row of counter values.
+
+    The candidates are grouped by non-zero counter value, largest value
+    first; a group of ``S`` candidates with value ``V`` is probed at most
+    ``S - V + 1`` times, in candidate order, and skipped when ``S < V``
+    (Theorem 3).  The plan is the candidate columns in that order.
+    """
+    groups: Dict[int, List[int]] = {}
+    for column, v in enumerate(vals):
+        if v:
+            groups.setdefault(v, []).append(column)
+    return tuple(
+        column
+        for v in sorted(groups, reverse=True)
+        if len(groups[v]) >= v
+        for column in groups[v][: len(groups[v]) - v + 1]
+    )
 
 
 def _counter_bits(d: int) -> int:
@@ -117,7 +139,9 @@ class McCuckoo(HashTable):
         if growth_factor < 1.0:
             raise ConfigurationError("growth_factor must be >= 1.0")
         self.d = d
-        self._ones = [1] * d  # the all-ones counter row: lookup/update fast paths
+        self._ones = [1] * d  # the all-ones counter row: the update fast path
+        # probe_plan by counter row, shared by every lookup path
+        self._plans: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.n_buckets = n_buckets
         self.maxloop = maxloop
         self.deletion_mode = deletion_mode
@@ -527,7 +551,9 @@ class McCuckoo(HashTable):
     def _partitions(
         self, cands: Sequence[int], vals: Sequence[int]
     ) -> List[Tuple[int, List[int]]]:
-        """Non-zero candidates grouped by counter value, largest value first."""
+        """Non-zero candidates grouped by counter value, largest value
+        first: the deletion/update search (:meth:`_find_copies`), which
+        keeps probing past the first copy.  Lookups use :func:`probe_plan`."""
         groups: Dict[int, List[int]] = {}
         for bucket, v in zip(cands, vals):
             if v > 0:
@@ -558,19 +584,15 @@ class McCuckoo(HashTable):
             return LookupOutcome(found=False)
         buckets_read = 0
         flags_read: List[bool] = []
-        for v, members in self._partitions(cands, vals):
-            if len(members) < v:
-                continue  # not enough buckets to carry v copies: skip all
-            limit = len(members) - v + 1
-            for bucket in members[:limit]:
-                yield "bucket"
-                stored_key, stored_value, flag, _ = self._read_entry(bucket)
-                buckets_read += 1
-                flags_read.append(flag)
-                if stored_key == k:
-                    return LookupOutcome(
-                        found=True, value=stored_value, buckets_read=buckets_read
-                    )
+        for column in self._plan(tuple(vals)):
+            yield "bucket"
+            stored_key, stored_value, flag, _ = self._read_entry(cands[column])
+            buckets_read += 1
+            flags_read.append(flag)
+            if stored_key == k:
+                return LookupOutcome(
+                    found=True, value=stored_value, buckets_read=buckets_read
+                )
         if self._stash is None or not self._should_check_stash(vals, flags_read):
             return LookupOutcome(found=False, buckets_read=buckets_read)
         yield "stash"
@@ -582,6 +604,15 @@ class McCuckoo(HashTable):
             checked_stash=True,
             buckets_read=buckets_read,
         )
+
+    def _plan(self, vals: Tuple[int, ...]) -> Tuple[int, ...]:
+        """:func:`probe_plan`, memoized by row."""
+        plan = self._plans.get(vals)
+        if plan is None:
+            plan = probe_plan(vals)
+            if len(self._plans) < _PLAN_MEMO_CAP:
+                self._plans[vals] = plan
+        return plan
 
     def _should_check_stash(
         self, vals: Sequence[int], flags_read: Sequence[bool]
@@ -618,29 +649,37 @@ class McCuckoo(HashTable):
     #
     # Each kernel has two front-ends selected by the table's EngineConfig:
     # the pure-Python one (always available, the default) and a NumPy one
-    # that computes the candidate matrix, gathers every counter in one shot
-    # and derives the paper's screen/probe plan array-wise.  Both feed the
-    # same Python scan over off-chip entries, so backend choice can never
-    # change an outcome or a charge — only wall-clock.
+    # that computes the candidate matrix and gathers every counter in one
+    # shot.  Both feed the same Python scan over off-chip entries, so
+    # backend choice can never change an outcome or a charge — only
+    # wall-clock.
 
     def _use_numpy(self, n_keys: int) -> bool:
         return self._engine_numpy and n_keys >= self._engine_min_batch
 
-    def _bulk_candidates(self, ks: Sequence[Key]) -> Tuple[List[int], List[int]]:
-        """Flattened global candidate ids and their counter values for a
-        batch of canonical keys — one bulk charged counter read either way."""
+    def _candidate_ids(self, ks: Sequence[Key]) -> Any:
+        """Global candidate ids of canonical keys, ``d`` per key in key
+        order: a flat ``int64`` array under the NumPy engine, else a list."""
         n = self.n_buckets
-        d = self.d
         if self._use_numpy(len(ks)):
             np = numpy_or_none()
             mat = self._family.candidates_matrix(
                 self._functions, np.array(ks, dtype=np.uint64), n
             )
-            mat += np.arange(d, dtype=np.int64) * np.int64(n)
-            flat_idx = mat.reshape(-1)
-            return flat_idx.tolist(), self._counters.get_block_array(flat_idx).tolist()
+            mat += np.arange(self.d, dtype=np.int64) * np.int64(n)
+            return mat.reshape(-1)
         raws = self._family.candidates_many(self._functions, ks, n)
-        flat = [table * n + raw[table] for raw in raws for table in range(d)]
+        return [table * n + raw[table] for raw in raws for table in range(self.d)]
+
+    def _gather(self, ids: Any) -> Tuple[List[int], List[int]]:
+        """``ids`` as a list, and their counter values from one bulk
+        charged read: array-wise for a batch big enough for NumPy, since
+        a few keys' counters unpack faster in Python."""
+        if isinstance(ids, list):
+            return ids, self._counters.get_block(ids)
+        flat = ids.tolist()
+        if self._use_numpy(len(flat) // self.d):
+            return flat, self._counters.get_block_array(ids).tolist()
         return flat, self._counters.get_block(flat)
 
     def prescreen_absent(self, keys: Sequence[KeyLike]) -> List[bool]:
@@ -658,220 +697,103 @@ class McCuckoo(HashTable):
         if not self._rule1_active() or self._tombstones is not None:
             return [False] * len(ks)
         d = self.d
-        _, vals_flat = self._bulk_candidates(ks)
+        _, vals_flat = self._gather(self._candidate_ids(ks))
         return [
             0 in vals_flat[base : base + d]
             for base in range(0, len(vals_flat), d)
         ]
 
-    def lookup_many(self, keys: Sequence[KeyLike]) -> List[LookupOutcome]:
-        if self._use_numpy(len(keys)):
-            np = numpy_or_none()
-            if set(map(type, keys)) == {int}:
-                # All exact ints: let the uint64 conversion prove they are
-                # already canonical (negative or >= 2**64 raises
-                # OverflowError), skipping the per-key masking pass.  bool
-                # and float subtypes fail the type check, so they reach
-                # canonical_key below and error exactly as the scalar path.
-                try:
-                    arr = np.array(keys, dtype=np.uint64)
-                except OverflowError:
-                    arr = None
-                if arr is not None:
-                    ks = keys if type(keys) is list else list(keys)
-                    return self._lookup_many_numpy(ks, arr)
+    def lookup_many(
+        self, keys: Sequence[KeyLike], rows: Any = None
+    ) -> List[LookupOutcome]:
+        """Batched lookup: one charged counter gather, then :meth:`_scan_lookups`.
+
+        ``rows``, when given, are the keys' global candidate ids from a
+        caller that hashed a larger run at once
+        (:meth:`~repro.serve.store.ShardedLogStore.get_many`): a
+        ``(len(keys), d)`` ``int64`` NumPy array.  ``keys`` must then be
+        canonical ``int`` keys.
+        """
+        if rows is None:
+            # Inline the canonical fast path: int keys dominate every workload.
             ks = [
                 key & MASK64 if type(key) is int else canonical_key(key)
                 for key in keys
             ]
-            return self._lookup_many_numpy(ks, np.array(ks, dtype=np.uint64))
-        # Inline the canonical fast path: int keys dominate every workload.
-        ks = [
-            key & MASK64 if type(key) is int else canonical_key(key)
-            for key in keys
-        ]
-        d = self.d
-        n = self.n_buckets
-        raws = self._family.candidates_many(self._functions, ks, n)
-        flat = [table * n + raw[table] for raw in raws for table in range(d)]
-        vals_flat = self._counters.get_block(flat)
-        spans = range(0, len(flat), d)
-        return self._scan_lookups(
-            ks,
-            [flat[base : base + d] for base in spans],
-            [vals_flat[base : base + d] for base in spans],
-        )
-
-    def lookup_many_u64(self, keys_u64: Any) -> List[LookupOutcome]:
-        """Batched lookup over an already-canonical ``uint64`` NumPy array.
-
-        Transport fast path: the serving layer hands wire keys here as a
-        zero-copy view over the IPC buffer, so the array feeds
-        ``candidates_matrix`` directly — no per-key type check, no
-        canonicalization pass, no rebuild of the array from a list.  Wire
-        keys are u64 by construction, hence already canonical.
-        """
-        if self._use_numpy(len(keys_u64)):
-            return self._lookup_many_numpy(keys_u64.tolist(), keys_u64)
-        return self.lookup_many(keys_u64.tolist())
-
-    def _lookup_many_numpy(self, ks: List[Key], arr: Any) -> List[LookupOutcome]:
-        """Vectorized lookup front-end: candidate matrix, one-shot counter
-        gather, and the paper's probe plan derived array-wise — rows with a
-        zero counter are misses before anything else happens (principle 1),
-        rows of all ones are flagged for the single-partition fast path.
-        ``arr`` is ``ks`` as a ``uint64`` array (the caller already built it
-        to prove canonicality).  The off-chip scan itself is
-        :meth:`_scan_lookups`, shared with the Python backend."""
-        np = numpy_or_none()
-        d = self.d
-        n = self.n_buckets
-        mat = self._family.candidates_matrix(self._functions, arr, n)
-        mat += np.arange(d, dtype=np.int64) * np.int64(n)  # global bucket ids
-        by_key = self._counters.get_block_array(mat.reshape(-1)).reshape(-1, d)
-        screen = all_ones = None
-        # The array-wise screen is only sound when a zero counter proves
-        # absence with no tombstone to consult; otherwise _scan_lookups
-        # falls back to the per-key rule (charging tombstone reads).
-        if self._rule1_active() and self._tombstones is None:
-            screen = (by_key == 0).any(axis=1).tolist()
-            all_ones = (by_key == 1).all(axis=1).tolist()
-        return self._scan_lookups(
-            ks, mat.tolist(), by_key.tolist(), screen, all_ones
-        )
+            flat, vals_flat = self._gather(self._candidate_ids(ks))
+        else:
+            ks = keys
+            flat, vals_flat = self._gather(rows.reshape(-1))
+        return self._scan_lookups(ks, flat, vals_flat)
 
     def _scan_lookups(
-        self,
-        ks: List[Key],
-        cand_rows: List[List[int]],
-        val_rows: List[List[int]],
-        screen: Optional[List[bool]] = None,
-        all_ones: Optional[List[bool]] = None,
+        self, ks: Sequence[Key], flat: List[int], vals_flat: List[int]
     ) -> List[LookupOutcome]:
-        """The shared per-key probe loop over prefetched candidates/counters
-        (one d-list per key; both front-ends materialize the rows in bulk).
+        """The per-key probe loop over prefetched candidates and counters
+        (``d`` consecutive entries of ``flat``/``vals_flat`` per key).
 
-        ``screen``/``all_ones`` are the NumPy front-end's precomputed
-        principle-1 masks; the Python front-end passes ``None`` and the
-        same decisions are made inline per key.
+        Each row is probed in the order of its memoized :func:`probe_plan`
+        (the one the scalar lookup uses), and all bucket reads are charged
+        in one call at the end.
         """
         d = self.d
+        rule1 = self.deletion_mode is not DeletionMode.RESET  # _rule1_active
         # Principle-1 screen without the per-key method call: sound whenever
         # a zero counter proves absence and there are no tombstones to read.
-        simple_screen = self._rule1_active() and self._tombstones is None
-        have_masks = screen is not None
-        if not have_masks:
-            # Dummy per-row mask streams so one zip drives both front-ends.
-            screen = all_ones = _REPEAT_FALSE
+        simple_screen = rule1 and self._tombstones is None
         keys_arr = self._keys
         values_arr = self._values
         flags = self._flags
         stash = self._stash
-        d3 = d == 3
-        ones = self._ones
-        miss = LookupOutcome(found=False)
+        plans_get = self._plans.get
         make_hit = LookupOutcome.hit
         make_miss = LookupOutcome.miss
+        miss = _SCREENED_MISS
         outcomes: List[LookupOutcome] = []
         append_outcome = outcomes.append
         total_bucket_reads = 0
-        for k, cands, vals, row_screened, row_ones in zip(
-            ks, cand_rows, val_rows, screen, all_ones
-        ):
-            if have_masks:
-                if row_screened:
-                    append_outcome(miss)
-                    continue
-            elif simple_screen:
+        # zip over d copies of one iterator: consecutive d-tuples, in C.
+        cand_rows = zip(*[iter(flat)] * d)
+        val_rows = zip(*[iter(vals_flat)] * d)
+        for k, cands, vals in zip(ks, cand_rows, val_rows):
+            if simple_screen:
                 if 0 in vals:
                     append_outcome(miss)
                     continue
-                row_ones = vals == ones
-            elif self._never_inserted(cands, vals):
+            elif rule1 and self._never_inserted(cands, vals):
                 append_outcome(miss)
                 continue
+            plan = plans_get(vals)
+            if plan is None:
+                plan = self._plan(vals)
+            reads = 0
+            for column in plan:
+                reads += 1
+                bucket = cands[column]
+                if keys_arr[bucket] == k:
+                    append_outcome(make_hit(values_arr[bucket], reads))
+                    break
             else:
-                row_ones = vals == ones
-            if row_ones:
-                # Fast path for the dominant shape at load: one partition of
-                # value 1, probed in candidate order, no grouping needed.
-                # A full miss probes every candidate, so the probed list the
-                # stash tail wants is just ``cands`` — no tracking needed.
-                probed = cands
-                if d3:
-                    # Unrolled d=3 (the paper's configuration): tuple unpack
-                    # plus direct probes beats the generic loop measurably.
-                    b0, b1, b2 = cands
-                    if keys_arr[b0] == k:
-                        total_bucket_reads += 1
-                        append_outcome(make_hit(values_arr[b0], 1))
-                        continue
-                    if keys_arr[b1] == k:
-                        total_bucket_reads += 2
-                        append_outcome(make_hit(values_arr[b1], 2))
-                        continue
-                    if keys_arr[b2] == k:
-                        total_bucket_reads += 3
-                        append_outcome(make_hit(values_arr[b2], 3))
-                        continue
-                    buckets_read = 3
+                # Miss: the stash pre-screen needs the flags of the probed
+                # buckets; they ride along with the bucket reads, so
+                # gathering them here (peeks) charges nothing the probes
+                # didn't.
+                if stash is not None and self._should_check_stash(
+                    vals, [flags.test(cands[column]) for column in plan]
+                ):
+                    s_found, s_value = stash.lookup(k)
+                    append_outcome(
+                        LookupOutcome(
+                            found=s_found,
+                            value=s_value if s_found else None,
+                            from_stash=s_found,
+                            checked_stash=True,
+                            buckets_read=reads,
+                        )
+                    )
                 else:
-                    buckets_read = 0
-                    hit_outcome: Optional[LookupOutcome] = None
-                    for bucket in cands:
-                        buckets_read += 1
-                        if keys_arr[bucket] == k:
-                            hit_outcome = make_hit(values_arr[bucket], buckets_read)
-                            break
-                    if hit_outcome is not None:
-                        total_bucket_reads += buckets_read
-                        append_outcome(hit_outcome)
-                        continue
-            else:
-                probed = []
-                buckets_read = 0
-                hit_outcome = None
-                groups: Dict[int, List[int]] = {}
-                for bucket, v in zip(cands, vals):
-                    if v:
-                        groups.setdefault(v, []).append(bucket)
-                for v in sorted(groups, reverse=True):
-                    members = groups[v]
-                    if len(members) < v:
-                        continue
-                    for bucket in members[: len(members) - v + 1]:
-                        buckets_read += 1
-                        if keys_arr[bucket] == k:
-                            hit_outcome = make_hit(values_arr[bucket], buckets_read)
-                            break
-                        probed.append(bucket)
-                    if hit_outcome is not None:
-                        break
-                if hit_outcome is not None:
-                    total_bucket_reads += buckets_read
-                    append_outcome(hit_outcome)
-                    continue
-            total_bucket_reads += buckets_read
-            # Miss: the stash pre-screen needs the flags of the probed
-            # buckets; they ride along with the bucket reads, so gathering
-            # them here (peeks) charges nothing the probes didn't.
-            if stash is None:
-                append_outcome(make_miss(buckets_read))
-                continue
-            flags_read = [flags.test(bucket) for bucket in probed]
-            if not self._should_check_stash(vals, flags_read):
-                append_outcome(make_miss(buckets_read))
-                continue
-            s_found, s_value = stash.lookup(k)
-            append_outcome(
-                LookupOutcome(
-                    found=s_found,
-                    value=s_value if s_found else None,
-                    from_stash=s_found,
-                    checked_stash=True,
-                    buckets_read=buckets_read,
-                )
-            )
+                    append_outcome(make_miss(reads))
+            total_bucket_reads += reads
         if total_bucket_reads:
             self.mem.offchip_read("bucket", total_bucket_reads)
         return outcomes
@@ -897,7 +819,7 @@ class McCuckoo(HashTable):
         # values, so every bucket a placement mutates lands in ``dirty``; a
         # key whose candidates intersect it refreshes them with unaccounted
         # peeks (the charged read already happened up front).
-        flat, vals_flat = self._bulk_candidates([k for k, _ in items])
+        flat, vals_flat = self._gather(self._candidate_ids([k for k, _ in items]))
         outcomes: List[Optional[InsertOutcome]] = [None] * len(items)
         deferred: List[int] = []
         counters = self._counters
@@ -965,23 +887,11 @@ class McCuckoo(HashTable):
                 "this table was built with DeletionMode.DISABLED"
             )
         counters = self._counters
-        n = self.n_buckets
-        d = self.d
         ks = [self._canonical(key) for key in keys]
-        if self._use_numpy(len(ks)):
-            np = numpy_or_none()
-            mat = self._family.candidates_matrix(
-                self._functions, np.array(ks, dtype=np.uint64), n
-            )
-            mat += np.arange(d, dtype=np.int64) * np.int64(n)
-            cand_rows = mat.tolist()
-        else:
-            raws = self._family.candidates_many(self._functions, ks, n)
-            cand_rows = [
-                [table * n + raw[table] for table in range(d)] for raw in raws
-            ]
+        ids = self._candidate_ids(ks)
+        flat = ids if isinstance(ids, list) else ids.tolist()
         outcomes: List[DeleteOutcome] = []
-        for k, cands in zip(ks, cand_rows):
+        for k, cands in zip(ks, zip(*[iter(flat)] * self.d)):
             # Fresh per-key read: earlier deletes in the batch zero counters.
             vals = counters.get_block(cands)
             outcomes.append(self._delete_canonical(k, cands, vals))

@@ -171,30 +171,22 @@ class ResizableMcCuckoo(HashTable):
             return outcome
         return self._retiring.lookup(key)
 
-    def lookup_many(self, keys: Sequence[KeyLike]) -> List[LookupOutcome]:
+    def lookup_many(
+        self, keys: Sequence[KeyLike], rows: Any = None
+    ) -> List[LookupOutcome]:
         """Batched lookup: active-half kernel, misses retried on the old half.
 
-        put_many/delete_many stay the interface's scalar loops on purpose —
-        each write must interleave its own migration step to keep the
-        per-operation resize bound.
+        ``rows`` are the keys' candidate ids in the *active* half (see
+        :meth:`McCuckoo.lookup_many`); the old half hashes its retries
+        itself.  put_many/delete_many stay the interface's scalar loops on
+        purpose — each write must interleave its own migration step to
+        keep the per-operation resize bound.
         """
-        outcomes = self._active.lookup_many(keys)
+        outcomes = self._active.lookup_many(keys, rows=rows)
         if self._retiring is not None:
             missed = [i for i, outcome in enumerate(outcomes) if not outcome.found]
             if missed:
                 retried = self._retiring.lookup_many([keys[i] for i in missed])
-                for i, outcome in zip(missed, retried):
-                    outcomes[i] = outcome
-        return outcomes
-
-    def lookup_many_u64(self, keys_u64: Any) -> List[LookupOutcome]:
-        """:meth:`lookup_many` over an already-canonical ``uint64`` array
-        (transport fast path; see :meth:`McCuckoo.lookup_many_u64`)."""
-        outcomes = self._active.lookup_many_u64(keys_u64)
-        if self._retiring is not None:
-            missed = [i for i, outcome in enumerate(outcomes) if not outcome.found]
-            if missed:
-                retried = self._retiring.lookup_many_u64(keys_u64[missed])
                 for i, outcome in zip(missed, retried):
                     outcomes[i] = outcome
         return outcomes

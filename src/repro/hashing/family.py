@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from hashlib import blake2b
-from typing import Any, List, Sequence, Union
+from typing import Any, List, Sequence, Tuple, Union
 
 from .._numpy import numpy_or_none
 
@@ -117,6 +117,28 @@ class HashFamily(ABC):
             raise RuntimeError("candidates_matrix requires numpy")
         rows = self.candidates_many(functions, keys.tolist(), n_buckets)
         return np.array(rows, dtype=np.int64).reshape(len(rows), len(functions))
+
+    def candidates_paged(
+        self, pages: Sequence[Tuple[Sequence[HashFunction], int]], keys: Any, page_of: Any
+    ) -> Any:
+        """Global candidate ids of a ``uint64`` key array spread over the
+        pages of cuckoo hashing with pages, as a ``(len(keys), d)`` ``int64``
+        matrix: ``pages[p]`` is page ``p``'s ``(functions, n_buckets)``,
+        ``page_of[i]`` is key ``i``'s page, and row ``i`` holds
+        ``t * n_buckets + c`` for each sub-table ``t`` and candidate ``c``.
+        This base version is the loop fallback: one
+        :meth:`candidates_matrix` per page present."""
+        np = numpy_or_none()
+        if np is None:  # pragma: no cover - callers gate on the engine
+            raise RuntimeError("candidates_paged requires numpy")
+        d = len(pages[0][0])
+        out = np.empty((int(keys.size), d), dtype=np.int64)
+        for page, (functions, n_buckets) in enumerate(pages):
+            mask = page_of == page
+            if mask.any():
+                mat = self.candidates_matrix(functions, keys[mask], n_buckets)
+                out[mask] = mat + np.arange(d, dtype=np.int64) * np.int64(n_buckets)
+        return out
 
 
 def candidate_buckets(

@@ -9,7 +9,7 @@ the hash-quality tests and available to every table.)
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .._numpy import numpy_or_none
 from .family import MASK64, HashFamily, HashFunction, Key
@@ -17,6 +17,7 @@ from .family import MASK64, HashFamily, HashFunction, Key
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_ARRAY_CONSTANTS: Optional[Tuple[Any, ...]] = None
 
 
 def splitmix64(x: int) -> int:
@@ -33,13 +34,21 @@ def splitmix64_array(x: Any) -> Any:
     ``uint64`` arithmetic wraps modulo 2^64, which *is* the scalar
     version's ``& MASK64``, so the two agree bit-for-bit on every input.
     """
-    np = numpy_or_none()
-    if np is None:  # pragma: no cover - callers gate on the engine
-        raise RuntimeError("splitmix64_array requires numpy")
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    global _ARRAY_CONSTANTS
+    if _ARRAY_CONSTANTS is None:
+        np = numpy_or_none()
+        if np is None:  # pragma: no cover - callers gate on the engine
+            raise RuntimeError("splitmix64_array requires numpy")
+        # Built once: making the NumPy scalars costs as much as the
+        # arithmetic on a short array.
+        _ARRAY_CONSTANTS = tuple(
+            np.uint64(c) for c in (_GOLDEN, 30, _MIX1, 27, _MIX2, 31)
+        )
+    golden, s30, mix1, s27, mix2, s31 = _ARRAY_CONSTANTS
+    x = x + golden
+    x = (x ^ (x >> s30)) * mix1
+    x = (x ^ (x >> s27)) * mix2
+    return x ^ (x >> s31)
 
 
 class SplitMixHash(HashFunction):
@@ -58,6 +67,8 @@ class SplitMixFamily(HashFamily):
     """Derives per-function seeds by walking SplitMix64 from the family seed."""
 
     name = "splitmix"
+    # candidates_paged's last page table: (pages, seeds, sizes, offsets)
+    _page_table: Optional[Tuple[Any, ...]] = None
 
     def make(self, index: int, seed: int) -> SplitMixHash:
         derived = seed & MASK64
@@ -109,3 +120,27 @@ class SplitMixFamily(HashFamily):
             digest = splitmix64_array(keys ^ np.uint64(fn.seed))  # type: ignore[attr-defined]
             out[:, column] = (digest % n).astype(np.int64)
         return out
+
+    def candidates_paged(
+        self, pages: Sequence[Tuple[Sequence[HashFunction], int]], keys: Any, page_of: Any
+    ) -> Any:
+        """One 2-D finalizer pass over every key and sub-table at once:
+        each row is xored with its own page's seeds and reduced by its own
+        page's bucket count.  The page table's arrays are kept for the
+        last ``pages`` seen, compared by value (each page's function list,
+        which a table replaces when it rehashes, and its bucket count)."""
+        np = numpy_or_none()
+        if np is None:  # pragma: no cover - callers gate on the engine
+            raise RuntimeError("candidates_paged requires numpy")
+        table = self._page_table
+        if table is None or table[0] != pages:
+            seeds = np.array(
+                [[fn.seed for fn in functions] for functions, _ in pages],  # type: ignore[attr-defined]
+                dtype=np.uint64,
+            )
+            sizes = np.array([[n_buckets] for _, n_buckets in pages], dtype=np.uint64)
+            offsets = np.arange(seeds.shape[1], dtype=np.uint64) * sizes
+            table = self._page_table = (list(pages), seeds, sizes, offsets)
+        _, seeds, sizes, offsets = table
+        digest = splitmix64_array(keys[:, None] ^ seeds[page_of])
+        return (digest % sizes[page_of] + offsets[page_of]).astype(np.int64)

@@ -6,8 +6,8 @@ pair of single-producer/single-consumer ring buffers per worker, backed
 by :mod:`multiprocessing.shared_memory`, so a frame travels frontend →
 worker as one ``memcpy`` into mapped memory — and batched GET key arrays
 never get copied at all: the worker hands the ring slot's bytes straight
-to ``numpy.frombuffer`` as a ``uint64`` view feeding the vectorized
-lookup kernel (see :meth:`repro.serve.store.ShardedLogStore.get_many_u64`).
+to ``numpy.frombuffer`` as a ``uint64`` view feeding the paged lookup
+(see :meth:`repro.serve.store.ShardedLogStore.get_many`).
 
 Layout of one ring (all integers little-endian)::
 

@@ -14,15 +14,17 @@ control lives in the server's queueing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence
 
+from .._numpy import numpy_or_none
 from ..apps.kvstore import LogStructuredStore, RecoveryReport
 from ..core.engine import EngineConfig, EngineLike
 from ..core.errors import ConfigurationError
 from ..core.results import InsertStatus
 from ..core.sharded import ShardRouter
 from ..faults import FaultPlan
-from ..hashing import KeyLike, canonical_key
+from ..hashing import MASK64, KeyLike, canonical_key
 
 _MISSING = object()
 
@@ -64,8 +66,7 @@ class ShardedLogStore:
         # tables keep "python" as their default; a server opts the whole
         # store in at one place.
         self.engine = EngineConfig.coerce(engine)
-        self._engine_numpy = self.engine.resolve() == "numpy"
-        self._engine_min_batch = self.engine.min_batch
+        self.engine.resolve()  # backend="numpy" without NumPy fails here
         self._durable = durable or faults is not None
         self._faults = faults
         self._per_shard = max(64, expected_items // n_shards)
@@ -136,62 +137,80 @@ class ShardedLogStore:
         value = self.shard_for(key).get(key, _MISSING)
         return None if value is _MISSING else value
 
-    def get_many(self, keys: List[KeyLike]) -> List[Optional[Any]]:
-        """Batched :meth:`get`: group keys by shard, run each shard's run
-        through its store's bulk kernel, and reassemble in input order."""
-        positions: List[List[int]] = [[] for _ in self._shards]
-        grouped: List[List[KeyLike]] = [[] for _ in self._shards]
-        if self._engine_numpy and len(keys) >= self._engine_min_batch:
-            ks = [canonical_key(key) for key in keys]
-            shards = self._router.shard_of_many(ks, use_numpy=True)
-            for pos, (k, shard) in enumerate(zip(ks, shards)):
-                positions[shard].append(pos)
-                grouped[shard].append(k)
+    def get_many(self, keys: Sequence[KeyLike]) -> List[Optional[Any]]:
+        """Batched :meth:`get` as one paged lookup: the shards are the
+        pages of cuckoo hashing with pages, and each page's keys take one
+        batched lookup.
+
+        A run the engine sends to NumPy (:meth:`EngineConfig.use_numpy`),
+        which may be a ``uint64`` array such as a view over a worker's ring
+        slot, is routed, sorted by page and hashed in one pass over every
+        page (:meth:`HashFamily.candidates_paged`); the page table is read
+        per call, since a resize or an in-place REHASH changes a shard's
+        active table.  A shorter run is routed in Python and each page's
+        table hashes its own keys.  A key of a shard outside this slice
+        raises :class:`ConfigurationError` before any lookup."""
+        n_shards = self.n_shards
+        np = numpy_or_none() if self.engine.use_numpy(len(keys)) else None
+        if np is None:
+            if not isinstance(keys, list) and hasattr(keys, "tolist"):
+                keys = keys.tolist()  # a short uint64 array
+            ks = [key & MASK64 if type(key) is int else canonical_key(key)
+                  for key in keys]
+            shard_ids = self._router.shard_of_many(ks)
+            pages: List[List[int]] = [[] for _ in range(n_shards)]
+            for k, shard in zip(ks, shard_ids):
+                pages[shard].append(k)
+            page_rows: List[Any] = [None] * n_shards
+            self._check_slice(pages)
         else:
-            for pos, key in enumerate(keys):
-                shard = self._router.shard_of(canonical_key(key))
-                positions[shard].append(pos)
-                grouped[shard].append(key)
-        out: List[Optional[Any]] = [None] * len(keys)
-        for shard, shard_keys in enumerate(grouped):
-            if not shard_keys:
-                continue
-            values = self.shard(shard).get_many(shard_keys, default=_MISSING)
-            for pos, value in zip(positions[shard], values):
-                out[pos] = None if value is _MISSING else value
-        return out
+            if isinstance(keys, np.ndarray):
+                arr = keys.astype(np.uint64, copy=False)
+            else:
+                arr = np.array(
+                    [key & MASK64 if type(key) is int else canonical_key(key)
+                     for key in keys],
+                    dtype=np.uint64,
+                )
+            routes = self._router.shard_of_array(arr)
+            shard_ids = routes.tolist()
+            counts = np.bincount(routes, minlength=n_shards).tolist()
+            self._check_slice(counts)
+            order = routes.argsort(kind="stable")  # page by page, input order within
+            arr = arr[order]
+            page_of = routes[order]
+            owned = self.owned
+            if len(owned) < n_shards:  # a slice: its shards are the pages
+                slot = np.zeros(n_shards, dtype=np.int64)
+                slot[list(owned)] = np.arange(len(owned))
+                page_of = slot[page_of]
+            tables = [self._shards[shard].index.active_table for shard in owned]
+            rows = tables[0]._family.candidates_paged(
+                [(table._functions, table.n_buckets) for table in tables],
+                arr, page_of,
+            )
+            ks = arr.tolist()
+            bounds = [0, *accumulate(counts)]
+            spans = list(zip(bounds, bounds[1:]))
+            pages = [ks[start:stop] for start, stop in spans]
+            page_rows = [rows[start:stop] for start, stop in spans]
+        values = [
+            iter(self._shards[shard].get_many(page, rows=page_rows[shard]))
+            if page else None
+            for shard, page in enumerate(pages)
+        ]
+        return [next(values[shard]) for shard in shard_ids]
 
-    def get_many_u64(self, keys_u64: Any) -> List[Optional[Any]]:
-        """Batched get over an already-canonical ``uint64`` key array.
-
-        The zero-copy transport path: a worker hands the BATCH key run
-        here as a NumPy view straight over its shared-memory ring slot,
-        the array is shard-routed with one vectorized pass
-        (:meth:`~repro.core.sharded.ShardRouter.shard_of_array`), and the
-        per-shard subarrays feed the index kernels without a list
-        round-trip.  Callers must hold the NumPy engine (the worker gates
-        on ``engine.use_numpy``).
-        """
-        from .._numpy import numpy_or_none
-
-        np = numpy_or_none()
-        shards = self._router.shard_of_array(keys_u64)
-        out: List[Optional[Any]] = [None] * len(keys_u64)
-        matched = 0
-        for shard in self.owned:
-            mask = shards == shard
-            if not mask.any():
-                continue
-            idx = np.nonzero(mask)[0]
-            matched += len(idx)
-            values = self.shard(shard).get_many_u64(keys_u64[idx], default=_MISSING)
-            for pos, value in zip(idx.tolist(), values):
-                out[pos] = None if value is _MISSING else value
-        if matched != len(out):
+    def _check_slice(self, per_shard: Sequence[Any]) -> None:
+        """Raise unless every shard with a truthy entry (a key count or a
+        key list) is owned by this slice."""
+        if len(self.owned) < self.n_shards and any(
+            entry and self._shards[shard] is None
+            for shard, entry in enumerate(per_shard)
+        ):
             raise ConfigurationError(
                 "key run contains keys routed to shards outside this slice"
             )
-        return out
 
     def put(self, key: KeyLike, value: Any) -> "PutResult":
         outcome = self.shard_for(key).put(key, value)
@@ -224,9 +243,11 @@ class ShardedLogStore:
         replays only the tail.  Only meaningful for durable stores.
         """
         crashed = self.shard(shard)
-        return self.load_shard_from_bytes(
-            shard, crashed.log_bytes, checkpoint=crashed.checkpoint_bytes
-        )
+        # The dead image is handed over as a view: recovery copies it once.
+        with crashed.log_view as image:
+            return self.load_shard_from_bytes(
+                shard, image, checkpoint=crashed.checkpoint_bytes
+            )
 
     # ------------------------------------------------------------------
     # dynamic ownership (live resharding)

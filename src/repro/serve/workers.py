@@ -981,24 +981,22 @@ class _ShardWorker:
     def _apply_key_run(self, payload) -> Reply:
         """Serve an all-GET run shipped as a raw u64 key array.
 
-        With the NumPy engine the payload — still sitting in the
-        transport buffer — is wrapped as a ``uint64`` view and fed to the
-        store's vectorized kernel directly (zero copies, zero per-op
-        decode); the pure-Python engine unpacks it into ints and takes
-        the ordinary batched get.  Replies are per-op, exactly as if the
-        run had arrived as a BATCH of GETs.
+        With NumPy the payload — still sitting in the transport buffer —
+        is wrapped as a ``uint64`` view and handed to the store's paged
+        lookup directly (zero copies, zero per-op decode); without it the
+        payload is unpacked into ints.  Replies are per-op, exactly as if
+        the run had arrived as a BATCH of GETs.
         """
         count = decode_key_run_header(payload)
         try:
             np = numpy_or_none()
-            if np is not None and self.store.engine.use_numpy(count):
-                keys_u64 = np.frombuffer(
-                    payload, dtype="<u8", count=count,
-                    offset=KEY_RUN_COUNT.size,
+            if np is not None:
+                keys = np.frombuffer(
+                    payload, dtype="<u8", count=count, offset=KEY_RUN_COUNT.size
                 )
-                values = self.store.get_many_u64(keys_u64)
             else:
-                values = self.store.get_many(decode_key_run(payload))
+                keys = decode_key_run(payload)
+            values = self.store.get_many(keys)
         except Exception as error:
             self.stats.internal_errors += 1
             return BatchReply(tuple(

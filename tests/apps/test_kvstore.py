@@ -29,8 +29,9 @@ class TestValueLog:
         assert len(log) == 5
 
     def test_read_roundtrip(self):
-        """bytes, str and JSON values come back as themselves, each at
-        the offset its append returned, between other records."""
+        """bytes, str and JSON values come back as themselves from
+        ``read`` and ``value_at``, each at the offset its append
+        returned, between other records."""
         log = ValueLog()
         values = [b"raw\x00bytes", "text \u00e9", {"x": 1, "y": [2, 3]}, 17]
         offsets = [log.append(key, value) for key, value in enumerate(values)]
@@ -40,6 +41,8 @@ class TestValueLog:
             assert type(record.value) is type(value)
             assert not record.is_tombstone
             assert record.size == len(encode_record(key, value))
+            assert log.value_at(offset, key) == value
+            assert type(log.value_at(offset, key)) is type(value)
 
     def test_tombstones(self):
         log = ValueLog()

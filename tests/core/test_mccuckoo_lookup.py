@@ -4,6 +4,7 @@ import pytest
 
 from repro import DeletionMode, McCuckoo
 from repro.core import check_mccuckoo
+from repro.core.mccuckoo import probe_plan
 from repro.workloads import distinct_keys, missing_keys
 
 
@@ -152,6 +153,38 @@ class TestPrinciple3_ProbeBudget:
         outcome = table.lookup(first)
         assert outcome.found
         assert outcome.buckets_read == 1
+
+
+class TestProbePlan:
+    """The probe order every lookup path shares, pinned row by row."""
+
+    @pytest.mark.parametrize("row, plan", [
+        ((1, 1, 1), (0, 1, 2)),   # one group of value 1: every candidate
+        ((2, 2, 1), (0, 2)),      # largest value first, S-V+1 = 1 each
+        ((1, 2, 2), (1, 0)),
+        ((2, 1, 2), (0, 1)),
+        ((2, 2, 2), (0, 1)),      # S=3, V=2: two probes
+        ((3, 3, 3), (0,)),
+        ((1, 1, 2), (0, 1)),      # a lone 2 cannot carry two copies
+        ((1, 2, 3), (0,)),
+        ((0, 1, 1), (1, 2)),      # zero counters are never probed
+        ((0, 0, 0), ()),
+        ((2, 2, 1, 1), (0, 2, 3)),
+        ((1, 3, 3, 3), (1, 0)),
+    ])
+    def test_plan_for_row(self, row, plan):
+        assert probe_plan(row) == plan
+
+    def test_scalar_lookup_reads_in_plan_order(self):
+        table, keys = filled_table(load=0.6)
+        for key in keys:
+            cands = table._candidates(key)
+            vals = tuple(table._counters.peek(bucket) for bucket in cands)
+            order = [cands[column] for column in probe_plan(vals)]
+            outcome = table.lookup(key)
+            assert outcome.buckets_read == 1 + next(
+                i for i, bucket in enumerate(order) if table._keys[bucket] == key
+            )
 
 
 class TestLookupAccountingShape:

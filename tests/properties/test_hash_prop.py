@@ -1,8 +1,10 @@
 """Property tests for the hashing layer."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._numpy import numpy_available, numpy_or_none
 from repro.filters import BloomFilter
 from repro.hashing import FAMILIES, MASK64, canonical_key
 
@@ -55,3 +57,28 @@ def test_canonical_key_rarely_collides_on_text(text_keys):
     # 64-bit space: collisions among <=50 random strings are astronomically
     # unlikely; any collision indicates a digest bug.
     assert len(set(canonicals)) == len(text_keys)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="candidates_paged needs NumPy")
+@given(
+    keys=st.lists(KEY64, min_size=1, max_size=50),
+    sizes=st.lists(st.integers(min_value=1, max_value=1 << 20), min_size=1,
+                   max_size=5),
+    family=st.sampled_from(sorted(FAMILIES)),
+    data=st.data(),
+)
+@settings(max_examples=60)
+def test_candidates_paged_matches_per_key_candidates(keys, sizes, family, data):
+    """Every family's paged ids (SplitMix's 2-D pass and the base loop
+    fallback) equal the per-key candidates of each key's own page."""
+    np = numpy_or_none()
+    fam = FAMILIES[family]
+    pages = [(fam.functions(3, seed=page), n) for page, n in enumerate(sizes)]
+    page_of = data.draw(st.lists(st.integers(0, len(pages) - 1),
+                                 min_size=len(keys), max_size=len(keys)))
+    rows = fam.candidates_paged(pages, np.array(keys, dtype=np.uint64),
+                                np.array(page_of, dtype=np.int64))
+    for key, page, row in zip(keys, page_of, rows.tolist()):
+        functions, n = pages[page]
+        assert row == [t * n + c for t, c in
+                       enumerate(fam.candidates(functions, key, n))]
