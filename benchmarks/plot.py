@@ -20,7 +20,7 @@ import argparse
 import csv
 import pathlib
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 try:  # optional; the SVG path below never needs it
     import matplotlib
@@ -38,9 +38,7 @@ SPECS: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
     "BENCH_core": ("load", "ops_per_sec", ("phase", "batch", "backend")),
     "BENCH_core_highload_rows": (
         "load", "ops_per_sec", ("phase", "batch", "backend")),
-    "BENCH_serve": ("workers", "ops_per_sec", ("transport", "read_path")),
-    "BENCH_serve_read_mix_rows": (
-        "get_ratio", "ops_per_sec", ("transport", "read_path")),
+    "BENCH_serve": ("workers", "ops_per_sec", ()),
     "BENCH_recovery": ("ops", "speedup", ()),
 }
 

@@ -2,7 +2,7 @@
 
 Every harness document (``BENCH_core.json``, ``BENCH_serve.json``,
 ``BENCH_recovery.json``) is a dict whose list-of-dict values are row
-tables (``rows``, and for bench-serve also ``read_mix_rows``).  Each
+tables (``rows``, plus extra tables such as ``highload_rows``).  Each
 table becomes one CSV file named ``<stem>.csv`` / ``<stem>_<table>.csv``
 with the union of row keys as the header, so downstream plotting and
 spreadsheet diffing need no knowledge of any specific harness's schema.

@@ -56,18 +56,6 @@ class BenchServeConfig:
     workload: str = "zipf"
     seed: int = 0
     repeats: int = 2
-    transport: str = "auto"
-    """Worker transport for the ``workers >= 1`` sweep points
-    ("auto"/"shm"/"socket"); the workers=0 baseline has no workers and
-    records transport "none"."""
-    read_paths: Tuple[str, ...] = ("ring", "shared")
-    """Read paths for the read-mix crossover sweep (run at the largest
-    multi-worker point).  The worker-count sweep itself always runs on
-    the ring path so its rows stay comparable with older baselines."""
-    read_mixes: Tuple[float, ...] = (0.50, 0.95)
-    """GET ratios for the crossover sweep (the rest of each mix is
-    puts).  0.95 is the headline point: the shared path should beat the
-    ring path there by >= 1.5x GET throughput on a multi-core box."""
 
     @classmethod
     def quick(cls) -> "BenchServeConfig":
@@ -77,33 +65,19 @@ class BenchServeConfig:
         +/-10% with scheduler noise, which is wider than the w2 >= w1
         transport gate's tolerance.
         """
-        return cls(workers=(0, 1, 2), n_ops=5_000, n_keys=512, repeats=2,
-                   read_mixes=(0.95,))
+        return cls(workers=(0, 1, 2), n_ops=5_000, n_keys=512, repeats=2)
 
 
-async def _run_point(config: BenchServeConfig, n_workers: int,
-                     read_path: str = "ring",
-                     get_ratio: Optional[float] = None) -> LoadReport:
+async def _run_point(config: BenchServeConfig, n_workers: int) -> LoadReport:
     server_config = ServerConfig(
         host="127.0.0.1",
         port=0,
         n_shards=config.n_shards,
         expected_items=max(4096, 4 * config.n_keys),
         seed=config.seed,
-        transport=config.transport,
-        read_path=read_path,
     )
-    if n_workers > 0:
-        worker_server = WorkerServer(server_config, n_workers=n_workers)
-        server: McCuckooServer = worker_server
-        transport = worker_server.transport
-    else:
-        server = McCuckooServer(server_config)
-        transport = "none"
-    mix = {}
-    if get_ratio is not None:
-        mix = {"get_ratio": get_ratio, "put_ratio": 1.0 - get_ratio,
-               "delete_ratio": 0.0}
+    server = (WorkerServer(server_config, n_workers=n_workers)
+              if n_workers > 0 else McCuckooServer(server_config))
     load = LoadgenConfig(
         workload=config.workload,
         n_ops=config.n_ops,
@@ -112,32 +86,21 @@ async def _run_point(config: BenchServeConfig, n_workers: int,
         batch_size=config.batch_size,
         value_size=config.value_size,
         seed=config.seed,
-        **mix,
     )
     async with server:
         host, port = server.address
-        return await run_loadgen(host, port, load, transport=transport)
+        return await run_loadgen(host, port, load)
 
 
-def _measure_point(config: BenchServeConfig, n_workers: int,
-                   read_path: str = "ring",
-                   get_ratio: Optional[float] = None) -> LoadReport:
+def _measure_point(config: BenchServeConfig, n_workers: int) -> LoadReport:
     """Best-of-``repeats`` loadgen runs against a fresh server each time."""
     best: Optional[LoadReport] = None
     for _ in range(config.repeats):
-        report = asyncio.run(
-            _run_point(config, n_workers, read_path, get_ratio)
-        )
+        report = asyncio.run(_run_point(config, n_workers))
         if best is None or report.ops_per_sec > best.ops_per_sec:
             best = report
     assert best is not None
     return best
-
-
-def _get_ops_per_sec(report: LoadReport) -> float:
-    """GET-only throughput of a run (completed GETs / wall clock)."""
-    count = report.kind_latency.get("get", {}).get("count", 0)
-    return count / report.elapsed_s if report.elapsed_s > 0 else 0.0
 
 
 def run_bench_serve(config: Optional[BenchServeConfig] = None,
@@ -156,8 +119,6 @@ def run_bench_serve(config: Optional[BenchServeConfig] = None,
         by_workers[n_workers] = report.ops_per_sec
         rows.append({
             "workers": n_workers,
-            "transport": report.transport,
-            "read_path": "ring" if n_workers > 0 else "none",
             "n_ops": report.n_ops,
             "completed": report.completed,
             "elapsed_s": round(report.elapsed_s, 4),
@@ -174,52 +135,6 @@ def run_bench_serve(config: Optional[BenchServeConfig] = None,
     cpus = os.cpu_count() or 1
     headline: Dict[str, Any] = {"cpus": cpus}
 
-    # Read-mix crossover sweep: same multi-worker topology, the read
-    # path and GET ratio are the only variables.  Run at the largest
-    # multi-worker point so the frontend/worker split actually exists.
-    read_rows: List[Dict[str, Any]] = []
-    multi_points = [w for w in dict.fromkeys(config.workers) if w >= 1]
-    if multi_points and config.read_paths and config.read_mixes:
-        rm_workers = max(multi_points)
-        get_by_path: Dict[Tuple[str, float], float] = {}
-        for get_ratio in config.read_mixes:
-            for read_path in dict.fromkeys(config.read_paths):
-                start = time.perf_counter()
-                report = _measure_point(config, rm_workers, read_path,
-                                        get_ratio)
-                get_ops = _get_ops_per_sec(report)
-                if verbose:
-                    print(f"[mix get={get_ratio:.2f} {read_path}: "
-                          f"{time.perf_counter() - start:.1f}s, "
-                          f"{report.ops_per_sec:,.0f} ops/s, "
-                          f"{get_ops:,.0f} get/s]", file=sys.stderr)
-                get_by_path[(read_path, get_ratio)] = get_ops
-                read_rows.append({
-                    "workers": rm_workers,
-                    "transport": report.transport,
-                    "read_path": read_path,
-                    "get_ratio": get_ratio,
-                    "completed": report.completed,
-                    "elapsed_s": round(report.elapsed_s, 4),
-                    "ops_per_sec": round(report.ops_per_sec, 1),
-                    "get_ops_per_sec": round(get_ops, 1),
-                    "p50_ms": round(report.p50_ms, 4),
-                    "p95_ms": round(report.p95_ms, 4),
-                    "p99_ms": round(report.p99_ms, 4),
-                    "errors": report.errors,
-                })
-        for get_ratio in config.read_mixes:
-            ring = get_by_path.get(("ring", get_ratio), 0.0)
-            shared = get_by_path.get(("shared", get_ratio), 0.0)
-            if ring > 0 and shared > 0:
-                key = f"shared_vs_ring_get_{int(round(get_ratio * 100))}"
-                headline[key] = round(shared / ring, 3)
-        if cpus < 2 and "shared" in config.read_paths:
-            # the >=1.5x claim needs the frontend and the worker on
-            # separate cores; on one cpu the shared path only saves a
-            # context switch, so the gate would misread starvation as
-            # a regression
-            headline["read_gate_skipped"] = "cpus<2"
     if 1 in by_workers:
         headline["ops_per_sec_w1"] = round(by_workers[1], 1)
         if 2 in by_workers and by_workers[1] > 0:
@@ -255,9 +170,6 @@ def run_bench_serve(config: Optional[BenchServeConfig] = None,
             "workload": config.workload,
             "seed": config.seed,
             "repeats": config.repeats,
-            "transport": config.transport,
-            "read_paths": list(dict.fromkeys(config.read_paths)),
-            "read_mixes": list(config.read_mixes),
         },
         "environment": {
             "python": platform.python_version(),
@@ -267,37 +179,20 @@ def run_bench_serve(config: Optional[BenchServeConfig] = None,
         },
         "headline": headline,
         "rows": rows,
-        "read_mix_rows": read_rows,
     }
 
 
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable table of a :func:`run_bench_serve` document."""
-    lines = ["workers  transport       ops/s   p50ms   p95ms   p99ms"
-             "  completed  errors"]
+    lines = ["workers       ops/s   p50ms   p95ms   p99ms  completed  errors"]
     for row in report["rows"]:
         label = "single" if row["workers"] == 0 else str(row["workers"])
-        transport = row.get("transport", "socket")
         lines.append(
-            f"{label:>7s} {transport:>10s} {row['ops_per_sec']:>11,.0f} "
+            f"{label:>7s} {row['ops_per_sec']:>11,.0f} "
             f"{row['p50_ms']:>7.3f} {row['p95_ms']:>7.3f} "
             f"{row['p99_ms']:>7.3f} {row['completed']:>10d} "
             f"{row['errors']:>7d}"
         )
-    read_rows = report.get("read_mix_rows", [])
-    if read_rows:
-        lines.append("")
-        lines.append("read-mix crossover (workers="
-                     f"{read_rows[0]['workers']})")
-        lines.append("get%  read_path       ops/s       get/s   p50ms"
-                     "   p95ms  errors")
-        for row in read_rows:
-            lines.append(
-                f"{row['get_ratio'] * 100:>4.0f} {row['read_path']:>10s} "
-                f"{row['ops_per_sec']:>11,.0f} {row['get_ops_per_sec']:>11,.0f} "
-                f"{row['p50_ms']:>7.3f} {row['p95_ms']:>7.3f} "
-                f"{row['errors']:>7d}"
-            )
     headline = report["headline"]
     parts = [f"cpus={headline['cpus']}"]
     if "ops_per_sec_w1" in headline:
@@ -309,22 +204,12 @@ def render_report(report: Dict[str, Any]) -> str:
                      f"{headline['speedup_vs_w1']:.2f}x")
     if "w1_vs_single" in headline:
         parts.append(f"w1/single={headline['w1_vs_single']:.2f}x")
-    for key, value in headline.items():
-        if key.startswith("shared_vs_ring_get_"):
-            parts.append(f"shared/ring get@{key.rsplit('_', 1)[1]}%="
-                         f"{value:.2f}x")
     lines.append("headline: " + "  ".join(parts))
     if headline.get("gate_skipped"):
         lines.append(
             f"note: ≥2x scaling gate skipped ({headline['gate_skipped']}) — "
             "multi-worker speedup needs ≥4 cpus; only the w2≥w1 "
             "transport-overhead gate applies on this box"
-        )
-    if headline.get("read_gate_skipped"):
-        lines.append(
-            f"note: ≥1.5x shared-read gate skipped "
-            f"({headline['read_gate_skipped']}) — the shared path's win is "
-            "skipping the worker hop, which needs a core for each side"
         )
     return "\n".join(lines)
 
@@ -354,7 +239,7 @@ def compare_to_baseline(
     different shapes says nothing about a regression.
     """
     shape_keys = ("n_ops", "n_keys", "concurrency", "batch_size",
-                  "value_size", "n_shards", "workload", "transport")
+                  "value_size", "n_shards", "workload")
     current_shape = {key: report["config"][key] for key in shape_keys}
     baseline_shape = {key: baseline["config"].get(key) for key in shape_keys}
     if current_shape != baseline_shape:

@@ -169,11 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for the fault plan's RNGs")
     serve.add_argument("--workers", type=int, default=0,
                        help="shard worker processes (0 = single-process)")
-    serve.add_argument("--transport", default="auto",
-                       choices=("auto", "shm", "socket"),
-                       help="frontend ↔ worker transport: shared-memory "
-                            "rings, socketpair streams, or auto (shm when "
-                            "the platform supports it)")
     serve.add_argument("--engine", default="auto",
                        choices=("python", "numpy", "auto"),
                        help="batch-kernel backend for the shard indexes "
@@ -183,13 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="victim-selection policy for the shard indexes "
                             "(default random-walk; 'bubbling' sustains "
                             "higher index load before resizing)")
-    serve.add_argument("--read-path", default="auto",
-                       choices=("auto", "ring", "shared"),
-                       help="GET path with --workers: 'shared' answers "
-                            "reads from seqlock'd shared-memory index "
-                            "images without waking the worker; 'ring' "
-                            "round-trips every op; auto honours "
-                            "REPRO_SERVE_READ_PATH (default ring)")
     serve.add_argument("--replicas", type=int, default=0,
                        help="per-shard read replicas (0 or 1; needs "
                             "--workers >= 2): acked writes are mirrored "
@@ -232,15 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--workers", type=int, default=0,
                          help="with --standalone: worker processes for the "
                               "in-process server (0 = single-process)")
-    loadgen.add_argument("--transport", default="auto",
-                         choices=("auto", "shm", "socket"),
-                         help="with --standalone: worker transport for the "
-                              "in-process server; also labels the report "
-                              "so per-transport ops/s rows are attributable")
-    loadgen.add_argument("--read-path", default="auto",
-                         choices=("auto", "ring", "shared"),
-                         help="with --standalone --workers N: GET path for "
-                              "the in-process server")
 
     faultgen = sub.add_parser(
         "faultgen",
@@ -268,15 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="run the maintenance daemon (aggressive "
                                "thresholds) and strike during compactions "
                                "and checkpoint writes")
-    faultgen.add_argument("--transport", default="auto",
-                          choices=("auto", "shm", "socket"),
-                          help="worker transport for the driven server "
-                               "(with --workers N)")
-    faultgen.add_argument("--read-path", default="auto",
-                          choices=("auto", "ring", "shared"),
-                          help="GET path for the driven server (with "
-                               "--workers N); the audit must hold on the "
-                               "shared-image path too")
     faultgen.add_argument("--migrate", action="store_true",
                           help="run live shard migrations during the drive "
                                "(with --workers >= 2); the audit must hold "
@@ -297,8 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reshard.add_argument("--target", type=int, default=None,
                          help="destination worker (default: the next "
                               "worker ring-wise after the current owner)")
-    reshard.add_argument("--transport", default="auto",
-                         choices=("auto", "shm", "socket"))
     reshard.add_argument("--faults", default="",
                          help="fault-plan spec, e.g. "
                               "'kill_worker_during=migration:3@0'")
@@ -322,15 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--shards", type=int, default=None)
     bench_serve.add_argument("--repeats", type=int, default=None)
     bench_serve.add_argument("--seed", type=int, default=None)
-    bench_serve.add_argument("--read-path", default=None,
-                             choices=("ring", "shared", "both"),
-                             help="read path(s) for the multi-worker "
-                                  "sweeps (default: both when the host "
-                                  "has >= 2 CPUs)")
-    bench_serve.add_argument("--transport", default=None,
-                             choices=("auto", "shm", "socket"),
-                             help="worker transport for the multi-worker "
-                                  "sweep points (default: auto)")
 
     compact = sub.add_parser(
         "compact",
@@ -647,8 +606,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         kick_policy=args.kick_policy,
         maintenance=maintenance,
-        transport=args.transport,
-        read_path=args.read_path,
         replicas=args.replicas,
     )
 
@@ -675,8 +632,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         async with server_obj as server:
             host, port = server.address
             workers = getattr(server, "n_workers", 0)
-            transport = getattr(server, "transport", None)
-            topology = (f"{workers} worker processes over {transport}"
+            topology = (f"{workers} worker processes"
                         if workers else "single process")
             print(f"serving {config.n_shards}-shard McCuckoo store "
                   f"on {host}:{port} ({topology}; Ctrl-C to stop)")
@@ -733,22 +689,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         retry = RetryPolicy(max_attempts=args.retries,
                             deadline=args.deadline, seed=config.seed)
 
-    async def probe_transport(host: str, port: int) -> str:
-        """Ask the target server which worker transport it runs (the
-        STATS ``transport_shm`` gauge; absent on a single-process
-        server) so recorded ops/s rows are attributable."""
-        from .serve import McCuckooClient
-
-        try:
-            async with McCuckooClient(host, port) as client:
-                stats = await client.stats()
-        except Exception:
-            return "unknown"
-        flag = stats.get("transport_shm")
-        if flag is None:
-            return "none"
-        return "shm" if flag else "socket"
-
     async def run() -> int:
         if args.standalone:
             from .serve import McCuckooServer, ServerConfig
@@ -756,27 +696,21 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             server_config = ServerConfig(
                 host=args.host, port=0,
                 expected_items=max(4096, 2 * args.keys),
-                transport=args.transport,
-                read_path=args.read_path,
             )
             if args.workers > 0:
                 from .serve import WorkerServer
 
                 server = WorkerServer(server_config, n_workers=args.workers)
-                transport = server.transport
             else:
                 server = McCuckooServer(server_config)
-                transport = "none"
             async with server:
                 host, port = server.address
                 if not args.json:
                     print(f"[standalone server on {host}:{port}]")
-                report = await run_loadgen(host, port, config, retry=retry,
-                                           transport=transport)
+                report = await run_loadgen(host, port, config, retry=retry)
         else:
-            transport = await probe_transport(args.host, args.port)
             report = await run_loadgen(args.host, args.port, config,
-                                       retry=retry, transport=transport)
+                                       retry=retry)
         if args.json:
             import json
 
@@ -820,10 +754,6 @@ def _cmd_faultgen(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, faults=args.faults)
     if args.workers > 0:
         config = dataclasses.replace(config, n_workers=args.workers)
-    if args.transport != "auto":
-        config = dataclasses.replace(config, transport=args.transport)
-    if args.read_path != "auto":
-        config = dataclasses.replace(config, read_path=args.read_path)
     if args.migrate:
         if config.n_workers < 2:
             print("repro faultgen: error: --migrate needs --workers >= 2",
@@ -842,15 +772,11 @@ def _cmd_faultgen(args: argparse.Namespace) -> int:
     if not report.ok:
         workers = f" --workers {config.n_workers}" if config.n_workers else ""
         maintenance = " --maintenance" if config.maintenance else ""
-        transport = (f" --transport {config.transport}"
-                     if config.transport != "auto" else "")
-        read_path = (f" --read-path {config.read_path}"
-                     if config.read_path != "auto" else "")
         migrate = " --migrate" if config.migrate else ""
         print(f"reproduce with: repro faultgen --seed {config.seed} "
               f"--ops {config.n_ops} --keys {config.n_keys} "
               f"--concurrency {config.concurrency}"
-              f"{workers}{maintenance}{transport}{read_path}{migrate}",
+              f"{workers}{maintenance}{migrate}",
               file=sys.stderr)
     return 0 if report.ok else 1
 
@@ -883,7 +809,6 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
         seed=args.seed,
         durable=True,
         fault_plan=fault_plan,
-        transport=args.transport,
     )
 
     async def run() -> int:
@@ -961,12 +886,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         overrides["repeats"] = args.repeats
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.transport is not None:
-        overrides["transport"] = args.transport
-    if args.read_path is not None:
-        overrides["read_paths"] = (("ring", "shared")
-                                   if args.read_path == "both"
-                                   else (args.read_path,))
     if overrides:
         config = dataclasses.replace(config, **overrides)
     try:

@@ -8,17 +8,14 @@ the version is even and unchanged across the read — otherwise the read
 may have straddled a half-applied write and must be retried.
 
 :class:`SeqlockRegion` packages the reader loop over an abstract version
-cell (a callable), so the same protocol drives both the in-process
-:class:`~repro.concurrency.concurrent_table.ConcurrentMcCuckoo` version
-counter and the cross-process shared-memory index images published by the
-serve layer (:mod:`repro.serve.shared_image`), where the version word
-lives in a ``multiprocessing.shared_memory`` segment.
+cell (a callable); it drives the version counter of
+:class:`~repro.concurrency.concurrent_table.ConcurrentMcCuckoo`.
 
 Exhaustion is loud: a read that cannot validate within ``max_retries``
 attempts raises :class:`SeqlockContentionError` instead of silently
 degrading to an unversioned (potentially torn) read — the caller decides
 whether to propagate, retry later, or fall back to a slower coherent
-path (the serve layer falls back to the worker ring transport).
+path.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ class SeqlockRegion:
         Default validation budget per :meth:`read` call.
 
     ``retries`` accumulates every retry across the region's lifetime —
-    the serve layer surfaces it as the ``shared_read_retries`` stat.
+    ``ConcurrentMcCuckoo.lookup_retries`` surfaces it.
     """
 
     def __init__(

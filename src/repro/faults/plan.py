@@ -22,9 +22,6 @@ site                      consulted by
 ``maintenance_kill``      the worker serve path, once per compaction record
                           and once mid-checkpoint-write, for the
                           ``kill_worker_during`` rule
-``publish``               :class:`~repro.serve.shared_image.ShardImagePublisher`
-                          mid-write, while the region's seqlock version is
-                          odd, for the ``stall_publisher`` rule
 ========================  ====================================================
 
 Determinism contract: every rule owns a private ``random.Random`` seeded
@@ -46,12 +43,6 @@ Rule grammar (``FaultPlan.parse``) — rules separated by ``;`` or ``,``:
 ``delay_shard=SHARD:SECONDS[:EVERY]``
     Shard SHARD's writer loop sleeps SECONDS before each EVERY-th run it
     processes (default every run).  Models a slow / partitioned shard.
-``stall_publisher=SHARD:SECONDS[:EVERY]``
-    Every EVERY-th shared-image publish of shard SHARD stalls SECONDS
-    *mid-write*: the region's seqlock version is odd and its payload
-    half-applied for the whole window.  Frontend readers must retry and
-    fall back to the ring transport — the audit proves no reader ever
-    accepts the half-applied image.
 ``busy=P``
     Each write dispatch is rejected with a BUSY error frame with
     probability P, regardless of actual queue depth.
@@ -148,7 +139,6 @@ class FaultRule:
         "crash_during_compaction",
         "torn_checkpoint",
         "kill_worker_during",
-        "stall_publisher",
     )
 
     #: valid SITE values for ``kill_worker_during``
@@ -211,7 +201,7 @@ class FaultRule:
             # ``shard`` doubles as the worker scope for this rule.
             at = f"@{self.shard}" if self.shard is not None else ""
             return f"kill_worker_during={self.site}:{self.count}{at}"
-        if self.kind in ("delay_shard", "stall_publisher"):
+        if self.kind == "delay_shard":
             return f"{self.kind}={self.shard}:{self.seconds}:{self.every}"
         return f"{self.kind}={self.probability}"
 
@@ -284,13 +274,6 @@ class FaultRule:
 
     def on_writer(self, shard: int) -> float:
         if self.kind != "delay_shard" or shard != self.shard:
-            return 0.0
-        self._seen += 1
-        return self.seconds if self._seen % self.every == 0 else 0.0
-
-    def on_publish(self, shard: int) -> float:
-        """Recurring mid-publish stall, consulted per shared-image publish."""
-        if self.kind != "stall_publisher" or shard != self.shard:
             return 0.0
         self._seen += 1
         return self.seconds if self._seen % self.every == 0 else 0.0
@@ -427,21 +410,6 @@ class FaultPlan:
                 delay += fired
         return delay
 
-    def publish_stall(self, shard: int) -> float:
-        """Seconds the shared-image publisher must hold the region in its
-        half-applied state (seqlock version odd) before completing the
-        write.  Consulted mid-publish by
-        :class:`~repro.serve.shared_image.ShardImagePublisher`."""
-        if not self._armed:
-            return 0.0
-        delay = 0.0
-        for rule in self.rules:
-            fired = rule.on_publish(shard)
-            if fired:
-                self._note("stall_publisher")
-                delay += fired
-        return delay
-
     def should_kill_worker(self, worker_id: int) -> bool:
         """Consulted once per applied worker write, after the write is
         persisted and applied but before its ack frame is sent."""
@@ -574,7 +542,7 @@ def _parse_rule(chunk: str) -> FaultRule:
             return FaultRule(name, site=site,
                              count=_positive(_int(parts[1], chunk), chunk),
                              shard=shard)
-        if name in ("delay_shard", "stall_publisher"):
+        if name == "delay_shard":
             if len(parts) < 2:
                 raise FaultSpecError(
                     f"rule {chunk!r} needs SHARD:SECONDS[:EVERY]"

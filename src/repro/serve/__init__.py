@@ -9,11 +9,14 @@ behind the STATS verb (:mod:`~repro.serve.stats`), and a closed-loop load
 generator reporting ops/sec with p50/p95/p99 latency
 (:mod:`~repro.serve.loadgen`).  :mod:`~repro.serve.workers` lifts the
 same frontend onto N supervised shard worker processes for true
-multi-core parallelism, carried over shared-memory SPSC rings
-(:mod:`~repro.serve.shm`) where the platform supports them, socketpair
-streams otherwise.  :mod:`~repro.serve.resharding` migrates shards
-between live workers (snapshot → delta → fence → flip) and the worker
-server can host per-shard read replicas for owner-down degradation.
+multi-core parallelism.  Every op, GETs included, travels to its shard's
+owning worker over a pair of shared-memory SPSC rings
+(:mod:`~repro.serve.shm`); that is the worker server's one transport and
+one GET path, and a platform without ``multiprocessing.shared_memory``
+serves single-process only.  :mod:`~repro.serve.resharding` migrates
+shards between live workers (snapshot → delta → fence → flip) and the
+worker server can host per-shard read replicas for owner-down
+degradation.
 """
 
 from .client import (
@@ -67,7 +70,6 @@ from .shm import (
     RingFullError,
     ShmRing,
     ShmTransport,
-    resolve_transport,
     shm_available,
 )
 from .stats import ServeStats
@@ -136,7 +138,6 @@ __all__ = [
     "encode_reply",
     "encode_request",
     "read_frame",
-    "resolve_transport",
     "run_faultgen",
     "run_loadgen",
     "shm_available",

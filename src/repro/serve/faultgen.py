@@ -92,17 +92,6 @@ class FaultgenConfig:
     crash/kill during an in-flight compaction and a torn/killed
     checkpoint write.  The audit model is unchanged — maintenance must
     never cost an acknowledged write."""
-    transport: str = "auto"
-    """Worker transport for the driven server ("auto"/"shm"/"socket");
-    only meaningful with ``n_workers > 0``.  The audit is
-    transport-agnostic — both carry the same CRC'd frames."""
-    read_path: str = "auto"
-    """GET read path for the driven server ("auto"/"ring"/"shared");
-    only meaningful with ``n_workers > 0``.  With ``"shared"`` the
-    audit's reads go through the seqlock'd shared images (falling back
-    to the ring when a region cannot validate), so a lost or stale
-    shared read shows up as a lost acked write / phantom exactly like a
-    ring-path violation would."""
     migrate: bool = False
     """Run live shard migrations *during* the drive (worker mode with
     ≥ 2 workers; ignored otherwise): a background task repeatedly moves
@@ -146,12 +135,6 @@ class FaultgenReport:
     seed: int
     fault_plan: str
     n_workers: int = 0
-    transport: str = "none"
-    """Resolved worker transport ("shm"/"socket"; "none" single-process)."""
-    read_path: str = "ring"
-    """Resolved GET read path of the driven server ("ring"/"shared")."""
-    shared_reads: int = 0
-    shared_read_fallbacks: int = 0
     ops_issued: int = 0
     ops_acked: int = 0
     ops_unacked: int = 0
@@ -175,8 +158,7 @@ class FaultgenReport:
         return not self.failures and not self.hung
 
     def render(self) -> str:
-        mode = (f"{self.n_workers} worker processes, {self.transport}, "
-                f"{self.read_path} reads"
+        mode = (f"{self.n_workers} worker processes"
                 if self.n_workers else "single process")
         lines = [
             f"faultgen seed={self.seed}: "
@@ -195,8 +177,6 @@ class FaultgenReport:
             f"routing_epoch={self.routing_epoch}",
             f"  client    retries={self.retries}  "
             f"reads_checked={self.reads_checked}",
-            f"  shared    reads={self.shared_reads}  "
-            f"fallbacks={self.shared_read_fallbacks}",
             f"  verify    keys={self.verified_keys}  "
             f"lost_acked_writes={self.lost_acked_writes}  "
             f"phantom_values={self.phantom_values}",
@@ -269,14 +249,10 @@ async def run_faultgen(config: FaultgenConfig) -> FaultgenReport:
         fault_plan=plan,
         maintenance=(MaintenanceConfig.aggressive()
                      if config.maintenance else None),
-        transport=config.transport,
-        read_path=config.read_path,
     )
     if config.n_workers > 0:
         server: McCuckooServer = WorkerServer(server_config,
                                               n_workers=config.n_workers)
-        report.transport = server.transport  # type: ignore[attr-defined]
-        report.read_path = server.read_path  # type: ignore[attr-defined]
     else:
         server = McCuckooServer(server_config)
     began = time.perf_counter()
@@ -361,9 +337,6 @@ async def _drive_and_verify(
             snapshot = {}
         report.shard_recoveries = int(snapshot.get("shard_recoveries", 0))
         report.worker_restarts = int(snapshot.get("worker_restarts", 0))
-        report.shared_reads = int(snapshot.get("shared_reads", 0))
-        report.shared_read_fallbacks = int(
-            snapshot.get("shared_read_fallbacks", 0))
         report.faults_fired = {
             name[len("fault_"):]: int(count)
             for name, count in snapshot.items()

@@ -308,10 +308,6 @@ class LoadReport:
     busy: int
     timeouts: int
     errors: int
-    transport: str = "socket"
-    """Frontend ↔ worker transport the target server ran ("shm" or
-    "socket"; "none" for the single-process server) — makes recorded
-    ops/s rows attributable to a transport."""
     per_kind: Dict[str, int] = field(default_factory=dict)
     kind_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
     """Per-op-kind latency summary: kind → count/p50_ms/p95_ms/p99_ms/mean_ms."""
@@ -321,8 +317,7 @@ class LoadReport:
     def render(self) -> str:
         lines = [
             f"workload {self.workload}: {self.completed}/{self.n_ops} ops "
-            f"in {self.elapsed_s:.2f}s ({self.ops_per_sec:,.0f} ops/s) "
-            f"[transport={self.transport}]",
+            f"in {self.elapsed_s:.2f}s ({self.ops_per_sec:,.0f} ops/s)",
             f"  latency   p50={self.p50_ms:.3f}ms  p95={self.p95_ms:.3f}ms  "
             f"p99={self.p99_ms:.3f}ms  mean={self.mean_ms:.3f}ms",
             f"  rejected  busy={self.busy}  timeouts={self.timeouts}  "
@@ -356,7 +351,6 @@ class LoadReport:
         """The whole report as one JSON-safe dict (``repro loadgen --json``)."""
         return {
             "workload": self.workload,
-            "transport": self.transport,
             "n_ops": self.n_ops,
             "completed": self.completed,
             "elapsed_s": self.elapsed_s,
@@ -398,15 +392,12 @@ async def run_loadgen(
     config: LoadgenConfig,
     preload: bool = True,
     retry: Optional[RetryPolicy] = None,
-    transport: str = "socket",
 ) -> LoadReport:
     """Preload the working set, then drive the timed phase closed-loop.
 
     A ``retry`` policy makes the workers resilient to BUSY storms and
     connection loss (useful against a fault-injected server); without one,
-    failures count into the report as before.  ``transport`` labels the
-    report with the target server's worker transport; it does not change
-    the run.
+    failures count into the report as before.
     """
     preload_ops, ops = build_workload(config)
     async with McCuckooClient(host, port, pool_size=config.concurrency,
@@ -505,7 +496,6 @@ async def run_loadgen(
         busy=busy,
         timeouts=timeouts,
         errors=errors,
-        transport=transport,
         per_kind=per_kind,
         kind_latency=kind_latency,
         histogram=latency_histogram([v * 1e3 for v in latencies]),

@@ -186,11 +186,6 @@ class ReshardCoordinator:
             mark = await self._delta_round(
                 source, target, shard, epoch, mark, report)
             # 5) COMMIT: flip routing; everything after is best-effort.
-            #    The flip also retargets the shared read path atomically:
-            #    the frontend picks a shard's image region through this
-            #    routing table, so no reader consults the source's region
-            #    past this line (the source additionally unpublishes it
-            #    at release/abort)
             report.epoch_after = routing.reassign(shard, target_worker)
             committed = True
             report.committed = True

@@ -103,26 +103,11 @@ class ServerConfig:
     """Background compaction/checkpoint policy, ticked per shard by its
     writer loop between write runs (:mod:`repro.maintenance`).  ``None``
     disables maintenance entirely."""
-    transport: str = "auto"
-    """Frontend ↔ worker transport for :class:`WorkerServer`: ``"shm"``
-    (shared-memory SPSC rings + doorbell pipes), ``"socket"`` (socketpair
-    streams), or ``"auto"`` — shm when :func:`repro.serve.shm.shm_available`
-    says the platform supports it, socketpair otherwise.  Ignored by the
-    single-process server."""
     shm_ring_bytes: int = 1 << 22
     """Capacity of each shm ring's data region (one request + one
     response ring per worker).  Must comfortably exceed the largest IPC
     record (``max_frame_bytes``); records above half the capacity are
     rejected with TOO_LARGE."""
-    read_path: str = "auto"
-    """How the :class:`WorkerServer` frontend answers GETs: ``"shared"``
-    serves them straight from each worker's seqlock'd shared-memory index
-    image (:mod:`repro.serve.shared_image`), falling back to the ring
-    transport whenever a region cannot be validated; ``"ring"`` always
-    forwards to the worker; ``"auto"`` honours the
-    ``REPRO_SERVE_READ_PATH`` environment variable and otherwise stays on
-    the ring.  Ignored by the single-process server (its store is already
-    in-process)."""
     replicas: int = 0
     """Per-shard read replicas (:class:`WorkerServer` only; 0 disables).
     With ``replicas=1`` every shard is shadowed on the next worker

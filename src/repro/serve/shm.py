@@ -1,13 +1,13 @@
 """Shared-memory SPSC ring transport between the frontend and workers.
 
-The socketpair transport (PR 4) pays a kernel round trip plus a copy in
-each direction for every IPC frame.  This module replaces that hop with a
-pair of single-producer/single-consumer ring buffers per worker, backed
-by :mod:`multiprocessing.shared_memory`, so a frame travels frontend →
-worker as one ``memcpy`` into mapped memory — and batched GET key arrays
-never get copied at all: the worker hands the ring slot's bytes straight
-to ``numpy.frombuffer`` as a ``uint64`` view feeding the paged lookup
-(see :meth:`repro.serve.store.ShardedLogStore.get_many`).
+This is the one IPC link of the multi-process server: a pair of
+single-producer/single-consumer ring buffers per worker, backed by
+:mod:`multiprocessing.shared_memory`, so a frame travels frontend →
+worker as one ``memcpy`` into mapped memory, with no kernel round trip —
+and batched GET key arrays never get copied at all: the worker hands the
+ring slot's bytes straight to ``numpy.frombuffer`` as a ``uint64`` view
+feeding the paged lookup (see
+:meth:`repro.serve.store.ShardedLogStore.get_many`).
 
 Layout of one ring (all integers little-endian)::
 
@@ -49,7 +49,9 @@ predecessor.
 Doorbells are plain pipes: the producer writes one byte (non-blocking —
 a full pipe already guarantees a pending wakeup) and the consumer
 ``select``\\ s on the read end.  Pipe EOF doubles as the peer-death
-signal, mirroring the socket transport's EOF semantics.
+signal: the frontend drains whatever a dead worker published, then fails
+the rest of its in-flight ops.  A platform where
+:func:`shm_available` is false cannot run the multi-process server.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import struct
 import zlib
 from typing import Optional, Tuple, Union
 
-from repro.core.errors import ConfigurationError, ReproError
+from repro.core.errors import ReproError
 from repro.serve.protocol import ProtocolError
 
 __all__ = [
@@ -71,8 +73,6 @@ __all__ = [
     "RingFullError",
     "ShmRing",
     "ShmTransport",
-    "TRANSPORTS",
-    "resolve_transport",
     "ring_doorbell",
     "shm_available",
     "wait_doorbell",
@@ -81,9 +81,6 @@ __all__ = [
 #: Per-direction default ring capacity.  Comfortably above
 #: ``MAX_FRAME_BYTES`` (1 MiB) so any single client frame fits.
 DEFAULT_RING_BYTES = 1 << 22
-
-#: Valid values for the ``--transport`` knob.
-TRANSPORTS = ("auto", "shm", "socket")
 
 _HEADER_BYTES = 64
 _MAGIC = 0x3152434D  # "MCR1" little-endian
@@ -112,7 +109,7 @@ class RingFrameTooLarge(ReproError):
 
 
 # ----------------------------------------------------------------------
-# transport selection
+# platform probe
 
 
 _SHM_PROBE: Optional[bool] = None
@@ -138,33 +135,6 @@ def shm_available() -> bool:
     return _SHM_PROBE
 
 
-def resolve_transport(requested: str = "auto") -> str:
-    """Resolve a ``--transport`` value to a concrete ``"shm"``/``"socket"``.
-
-    ``"auto"`` honours the ``REPRO_SERVE_TRANSPORT`` environment variable
-    (used by the CI transport matrix) and otherwise picks shared memory
-    whenever the platform supports it.  Requesting ``"shm"`` on a platform
-    without working shared memory is a configuration error rather than a
-    silent fallback.
-    """
-    if requested not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown transport {requested!r}; expected one of {TRANSPORTS}"
-        )
-    if requested == "socket":
-        return "socket"
-    if requested == "shm":
-        if not shm_available():
-            raise ConfigurationError(
-                "transport 'shm' requested but multiprocessing.shared_memory "
-                "is unavailable on this platform; use --transport socket"
-            )
-        return "shm"
-    env = os.environ.get("REPRO_SERVE_TRANSPORT", "").strip().lower()
-    if env in ("shm", "socket"):
-        return resolve_transport(env)
-    return "shm" if shm_available() else "socket"
-
 
 # ----------------------------------------------------------------------
 # doorbell
@@ -185,8 +155,8 @@ def ring_doorbell(wfd: int) -> None:
 
 
 def wait_doorbell(rfd: int, timeout: float) -> str:
-    """Block on the fd until rung: ``"data"``, ``"eof"`` (writer died,
-    mirroring socket EOF semantics) or ``"timeout"``."""
+    """Block on the fd until rung: ``"data"``, ``"eof"`` (the writer
+    died) or ``"timeout"``."""
     ready, _, _ = select.select([rfd], [], [], timeout)
     if not ready:
         return "timeout"

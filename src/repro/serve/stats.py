@@ -56,16 +56,6 @@ class ServeStats:
     per-worker restart/queue/routing breakdowns ride in ``gauges`` as
     ``worker<N>_*`` entries."""
 
-    shared_reads: int = 0
-    """GETs the frontend answered straight from a worker's shared-memory
-    index image, without waking the worker (``read_path="shared"``)."""
-    shared_read_retries: int = 0
-    """Seqlock validation retries burned by shared-image reads (an odd or
-    moved version forced the reader to re-snapshot the region)."""
-    shared_read_fallbacks: int = 0
-    """Shared-path GETs that fell back to the ring transport (region
-    missing/unservable, retry budget exhausted, or value-parse anomaly)."""
-
     replica_applies: int = 0
     """Writes a worker applied to a shard it hosts as a read replica
     (forwarded asynchronously after the owner's ack)."""

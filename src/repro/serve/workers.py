@@ -13,29 +13,26 @@ in parallel across cores instead of time-slicing one GIL.
 Topology and transport::
 
     client ──TCP──▶ frontend (asyncio, routing, supervision)
-                       │ per worker: SPSC shm ring pair + pipe doorbell
-                       │ (or socketpair fallback), CRC'd frames, pipelined
+                       │ per worker: SPSC shm ring pair + pipe doorbells,
+                       │ CRC'd slots, pipelined
                        ├──▶ worker 0: shards {0, N, 2N, ...}
                        ├──▶ worker 1: shards {1, N+1, ...}
                        └──▶ ...
 
-* **IPC framing** reuses the wire codec's CRC'd envelope; the body is
-  ``u32 req_id + u8 kind + payload``.  ``REQUEST`` payloads are ordinary
-  protocol request/reply bodies (magic included), ``CONTROL`` payloads
-  are JSON (handshake, stats, disarm, ping, stop), and ``BATCH_KEYS``
-  payloads are raw little-endian u64 key runs (all-GET batch runs) that
-  the worker reads as a **zero-copy NumPy view** straight off the
-  transport buffer.
-* **Transports**: ``ServerConfig.transport`` picks ``"shm"`` (a
-  :class:`~repro.serve.shm.ShmTransport` ring pair per worker — one
-  memcpy per frame, no kernel round trip) or ``"socket"`` (the original
-  socketpair framing, the fallback on platforms without
-  ``multiprocessing.shared_memory``); ``"auto"`` resolves per platform.
-  Both transports carry the identical CRC'd bodies, so the protocol
-  codecs, fault consult sites, and the faultgen audit are
-  transport-agnostic.
+* **Transport**: one :class:`~repro.serve.shm.ShmTransport` ring pair
+  per worker slot — one memcpy per frame, no kernel round trip.  Every
+  ring slot carries a CRC'd body of ``u32 req_id + u8 kind + payload``.
+  ``REQUEST`` payloads are ordinary protocol request/reply bodies (magic
+  included), ``CONTROL`` payloads are JSON (handshake, stats, disarm,
+  ping, stop), and ``BATCH_KEYS`` payloads are raw little-endian u64 key
+  runs (all-GET batch runs) that the worker reads as a **zero-copy NumPy
+  view** straight off the ring slot.  Platforms without
+  ``multiprocessing.shared_memory`` cannot run the worker server; it
+  refuses to start with a :class:`ConfigurationError`.
+* **One GET path**: every GET, like every write, goes down the ring to
+  the shard's owning worker, whose store runs the paper's lookup.
 * **Pipelining**: the frontend tags every in-flight op with a request id,
-  so one worker connection carries many outstanding ops; replies resolve
+  so one worker link carries many outstanding ops; replies resolve
   futures by id.  A BATCH is forwarded as *one* IPC frame per worker run
   (the ops a worker owns, in batch order), mirroring the single-process
   server's one-queue-item-per-shard-run discipline.
@@ -60,13 +57,15 @@ Fault injection in worker mode re-parses the plan spec per process (the
 frontend consults dispatch/frame sites; each worker consults its stores'
 append sites, write delays, and the ``kill_worker`` site), so a count
 rule like ``crash_after_appends=N`` triggers per worker process.  A
-worker about to die from ``kill_worker`` emits a last-gasp CONTROL event
-carrying its counters so fired-fault accounting survives the kill; the
-doomed op's ack is still never sent.  Last-gasp delivery is best-effort:
-if the frontend writes to the socketpair after the child has exited, the
-transport error can surface on the shared stream before the buffered
-gasp is drained, so ``worker_restarts`` — not absorbed fired counts — is
-the authoritative death count.
+worker about to die from a kill rule pushes a last-gasp CONTROL event
+carrying its counters onto its response ring, so fired-fault accounting
+survives the kill; the doomed op's ack is still never sent.  The push
+does not block, but the ring is the same shared memory the frontend
+reads after the worker is gone: on the doorbell EOF the frontend drains
+every slot the dead worker published, gasp included, before it fails
+the worker's remaining in-flight ops.  A gasp is lost only if the
+response ring is full at the instant of death, so ``worker_restarts``
+stays the authoritative death count.
 """
 
 from __future__ import annotations
@@ -75,10 +74,8 @@ import asyncio
 import json
 import multiprocessing
 import os
-import socket
 import struct
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -122,31 +119,22 @@ from .protocol import (
     encode_replica,
     encode_reply,
     encode_request,
-    read_frame,
 )
 from .server import McCuckooServer, ServerConfig
-from .shared_image import (
-    ImageLayout,
-    ShardImagePublisher,
-    SharedImageReader,
-    SharedIndexImage,
-    resolve_read_path,
-)
 from .shm import (
     DEFAULT_RING_BYTES,
     RingFrameTooLarge,
     RingFullError,
     ShmTransport,
-    resolve_transport,
     ring_doorbell,
+    shm_available,
     wait_doorbell,
 )
 from .stats import ServeStats
 from .store import ShardedLogStore
 
+#: head of every ring slot body: u32 req_id + u8 kind
 _IPC_HEAD = struct.Struct(">IB")
-_LEN = struct.Struct(">I")
-_CRC = struct.Struct(">I")
 
 KIND_REQUEST = 0
 KIND_CONTROL = 1
@@ -155,7 +143,7 @@ KIND_CONTROL = 1
 KIND_BATCH_KEYS = 2
 #: a MIGRATE/FENCE/REPLICA body (:func:`repro.serve.protocol.
 #: decode_migration_frame`) — live-resharding and replica traffic rides
-#: the same CRC'd IPC envelope on both transports
+#: the same CRC'd ring slots as every other frame
 KIND_MIGRATE = 3
 
 #: u64 log-byte marks inside migration payloads (source-log coordinates)
@@ -188,44 +176,6 @@ class MigrationError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# IPC envelope (shared by both sides)
-# ----------------------------------------------------------------------
-
-
-def pack_ipc(req_id: int, kind: int, payload: bytes) -> bytes:
-    """One CRC'd IPC frame: len + crc + (req_id + kind + payload)."""
-    body = _IPC_HEAD.pack(req_id, kind) + payload
-    return _LEN.pack(len(body)) + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF) + body
-
-
-def unpack_ipc(body: bytes) -> Tuple[int, int, bytes]:
-    if len(body) < _IPC_HEAD.size:
-        raise ProtocolError(f"IPC body of {len(body)} bytes is too short")
-    req_id, kind = _IPC_HEAD.unpack_from(body, 0)
-    return req_id, kind, body[_IPC_HEAD.size:]
-
-
-def _read_frame_sync(stream, max_bytes: int) -> bytes:
-    """Blocking counterpart of :func:`repro.serve.protocol.read_frame`;
-    returns ``b""`` on clean EOF."""
-    prefix = stream.read(FRAME_OVERHEAD)
-    if not prefix:
-        return b""
-    if len(prefix) < FRAME_OVERHEAD:
-        raise ProtocolError("truncated IPC frame prefix")
-    (length,) = _LEN.unpack_from(prefix, 0)
-    (expected_crc,) = _CRC.unpack_from(prefix, _LEN.size)
-    if length > max_bytes:
-        raise ProtocolError(f"IPC frame of {length} bytes exceeds {max_bytes}")
-    body = stream.read(length)
-    if len(body) < length:
-        raise ProtocolError("truncated IPC frame body")
-    if (zlib.crc32(body) & 0xFFFFFFFF) != expected_crc:
-        raise ProtocolError("IPC frame CRC mismatch")
-    return body
-
-
-# ----------------------------------------------------------------------
 # worker child process
 # ----------------------------------------------------------------------
 
@@ -247,13 +197,11 @@ class WorkerSpec:
     seed: int
     durable: bool
     write_stall: float
-    max_ipc_bytes: int
     fault_spec: Optional[str] = None
     fault_seed: int = 0
     armed: bool = True
     log_dir: Optional[str] = None
     maintenance: Optional[MaintenanceConfig] = None
-    transport: str = "socket"
     epoch: int = 1
     """This incarnation's generation: every shm ring slot is stamped with
     it, and slots from other generations are discarded on pop — a
@@ -297,24 +245,9 @@ class WorkerSpec:
         return os.path.join(self.log_dir, f"worker-{self.worker_id}.spent")
 
 
-def _child_entry(spec: WorkerSpec, child_sock, parent_sock,
-                 image: Optional[SharedIndexImage] = None) -> None:
-    parent_sock.close()
-    code = 1
-    try:
-        channel = _SocketWorkerChannel(child_sock, spec.max_ipc_bytes)
-        code = _ShardWorker(spec, channel, image=image).run()
-    except BaseException:
-        code = 1
-    finally:
-        # _exit: never run the frontend's inherited atexit/loop teardown
-        os._exit(code)
-
-
-def _child_entry_shm(
+def _child_entry(
     spec: WorkerSpec, shm: ShmTransport, door_rfd: int, door_wfd: int,
     close_fds: Tuple[int, ...],
-    image: Optional[SharedIndexImage] = None,
 ) -> None:
     # the fork duplicated the frontend's doorbell ends too; close them so
     # this process's death is observable as pipe EOF on both sides
@@ -326,35 +259,12 @@ def _child_entry_shm(
     code = 1
     try:
         channel = _ShmChildChannel(shm, spec.epoch, door_rfd, door_wfd)
-        code = _ShardWorker(spec, channel, image=image).run()
+        code = _ShardWorker(spec, channel).run()
     except BaseException:
         code = 1
     finally:
+        # _exit: never run the frontend's inherited atexit/loop teardown
         os._exit(code)
-
-
-class _SocketWorkerChannel:
-    """Child side of the socketpair fallback: blocking CRC'd framing."""
-
-    def __init__(self, sock: socket.socket, max_bytes: int) -> None:
-        self._in = sock.makefile("rb")
-        self._out = sock.makefile("wb")
-        self._max_bytes = max_bytes
-
-    def recv(self) -> Optional[Tuple[int, int, bytes]]:
-        """The next ``(req_id, kind, payload)``, or ``None`` on EOF."""
-        body = _read_frame_sync(self._in, self._max_bytes)
-        if not body:
-            return None
-        return unpack_ipc(body)
-
-    def send(self, req_id: int, kind: int, payload: bytes,
-             block: bool = True) -> None:
-        self._out.write(pack_ipc(req_id, kind, payload))
-        self._out.flush()
-
-    def done(self) -> None:
-        """Release the last received frame (no-op: recv already copied)."""
 
 
 class _ShmChildChannel:
@@ -430,8 +340,7 @@ class _ShmChildChannel:
 class _ShardWorker:
     """Synchronous FIFO apply loop owning one shard group (child side)."""
 
-    def __init__(self, spec: WorkerSpec, channel,
-                 image: Optional[SharedIndexImage] = None) -> None:
+    def __init__(self, spec: WorkerSpec, channel) -> None:
         self.spec = spec
         self._channel = channel
         self.stats = ServeStats()
@@ -484,32 +393,6 @@ class _ShardWorker:
         if spec.durable and spec.log_dir is not None:
             for shard in spec.shards:
                 self._open_shard_log(shard)
-        #: shards whose index image this worker exports (owned, non-replica;
-        #: migrations add/remove membership at their commit points)
-        self._publishable = set(spec.shards)
-        self.publisher: Optional[ShardImagePublisher] = None
-        if image is not None:
-            stall = (self.faults.publish_stall
-                     if self.faults is not None else None)
-            self.publisher = ShardImagePublisher(image, stall_hook=stall)
-            # Publish before the hello handshake: by the time the frontend
-            # routes any request here, every recovered shard is exported.
-            for shard in spec.shards:
-                self._publish_shard(shard)
-
-    def _publish_shard(self, shard: int) -> None:
-        """Export one owned shard's image; never raises into the op path.
-
-        A publish that dies mid-bracket leaves the region's seqlock
-        version odd, which readers treat as permanent churn and fall back
-        — degraded throughput, never a torn read.
-        """
-        if self.publisher is None or shard not in self._publishable:
-            return
-        try:
-            self.publisher.publish(shard, self.store.shard(shard))
-        except Exception:
-            self.stats.internal_errors += 1
 
     # ------------------------------------------------------------------
     # durable log files
@@ -833,18 +716,8 @@ class _ShardWorker:
         return _MARK.pack(len(data)) + data[mark:]
 
     def _migrate_release(self, shard: int, payload: bytes) -> bytes:
-        """Post-commit: drop the shard (the target owns it now).
-
-        The shared image is invalidated *before* the store slot is
-        dropped: the frontend already routes the shard to the target (the
-        commit-point flip), and marking the source region unservable
-        guarantees even a racing reader that snapshotted stale routing
-        cannot be served from it past this point.
-        """
+        """Post-commit: drop the shard (the target owns it now)."""
         self._migrating_out.discard(shard)
-        self._publishable.discard(shard)
-        if self.publisher is not None:
-            self.publisher.forget(shard)
         sink = self._sinks.pop(shard, None)
         if sink is not None:
             sink.close()
@@ -902,13 +775,6 @@ class _ShardWorker:
         validate against the rewritten image, so it is dropped.
         """
         self._inbound.pop(shard, None)
-        # The shard is this worker's now (routing flipped at commit):
-        # publish its image so shared reads resume without a ring hop.
-        # Until this lands, the target's region reads unservable (all
-        # zeros / stale generation) and the frontend falls back — reads
-        # degrade through the migration window, they never go stale.
-        self._publishable.add(shard)
-        self._publish_shard(shard)
         if not (self.spec.durable and self.spec.log_dir is not None):
             return b""
         target = self.store.shard(shard)
@@ -937,9 +803,6 @@ class _ShardWorker:
         if (entry is not None and shard in self.store.owned
                 and shard not in self.spec.shards
                 and shard not in self.spec.replica_shards):
-            self._publishable.discard(shard)
-            if self.publisher is not None:
-                self.publisher.forget(shard)
             sink = self._sinks.pop(shard, None)
             if sink is not None:
                 sink.close()
@@ -1059,11 +922,6 @@ class _ShardWorker:
                 self.stats.shard_recoveries += 1
                 if self.spec.log_dir is not None:
                     self._attach_sink(shard)
-                # The recovered store is a fresh object with a fresh log;
-                # republish so the image tracks the surviving state (the
-                # publisher detects the log-identity change and rebuilds
-                # its mirror under the seqlock).
-                self._publish_shard(shard)
             return ErrorReply(ErrorCode.INTERNAL, str(error))
         if self.faults is not None and self.faults.should_kill_worker(
                 self.spec.worker_id):
@@ -1073,13 +931,6 @@ class _ShardWorker:
             # fired/counter accounting observable without acking the op.
             self._last_gasp_exit(23)
         self._run_maintenance(shard)
-        # Publish-before-ack: the image is refreshed before this reply
-        # leaves the worker, so a frontend shared read issued after the
-        # ack always sees the write (read-your-writes holds).  This also
-        # covers a compaction the maintenance tick just committed — the
-        # log swap rebuilds the mirror, so the image can never mix old
-        # and new log bytes.
-        self._publish_shard(shard)
         return reply
 
 
@@ -1089,26 +940,17 @@ class _ShardWorker:
 
 
 class WorkerHandle:
-    """One live worker process plus its pipelined IPC link.
-
-    The link is either an asyncio socketpair stream (fallback transport)
-    or an :class:`~repro.serve.shm.ShmTransport` ring pair plus doorbell
-    pipes (``spec.transport == "shm"``); both resolve reply futures by
-    request id through the same dispatch.
-    """
+    """One live worker process plus its pipelined IPC link: an
+    :class:`~repro.serve.shm.ShmTransport` ring pair plus doorbell pipes.
+    Replies resolve their futures by request id."""
 
     def __init__(self, spec: WorkerSpec, on_death, on_event,
-                 shm: Optional[ShmTransport] = None,
-                 image: Optional[SharedIndexImage] = None) -> None:
+                 shm: ShmTransport) -> None:
         self.spec = spec
         self.worker_id = spec.worker_id
         self._on_death = on_death
         self._on_event = on_event
-        self._image = image
         self._process: Optional[multiprocessing.process.BaseProcess] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
         self._shm = shm
         self._epoch = spec.epoch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -1124,37 +966,9 @@ class WorkerHandle:
         self.hello: Dict[str, Any] = {}
 
     async def spawn(self) -> None:
-        if self.spec.transport == "shm":
-            await self._spawn_shm()
-            return
-        context = multiprocessing.get_context("fork")
-        parent_sock, child_sock = socket.socketpair()
-        process = context.Process(
-            target=_child_entry,
-            args=(self.spec, child_sock, parent_sock, self._image),
-            daemon=True,
-        )
-        process.start()
-        child_sock.close()
-        self._process = process
-        self._reader, self._writer = await asyncio.open_connection(
-            sock=parent_sock
-        )
-        body = await asyncio.wait_for(
-            read_frame(self._reader, self.spec.max_ipc_bytes), timeout=30.0
-        )
-        req_id, kind, payload = unpack_ipc(body)
-        if kind != KIND_CONTROL or req_id != EVENT_ID:
-            raise ProtocolError("worker handshake expected a hello event")
-        self.hello = json.loads(payload.decode())
-        self.alive = True
-        self._reader_task = asyncio.create_task(self._read_loop())
-
-    async def _spawn_shm(self) -> None:
         """Fork the worker with the ring pair inherited directly (no
         pickling: the fork start method shares the mapped segments) and
         fresh per-generation doorbell pipes."""
-        assert self._shm is not None
         loop = asyncio.get_running_loop()
         self._loop = loop
         req_r, req_w = os.pipe()
@@ -1163,9 +977,8 @@ class WorkerHandle:
         os.set_blocking(resp_r, False)
         context = multiprocessing.get_context("fork")
         process = context.Process(
-            target=_child_entry_shm,
-            args=(self.spec, self._shm, req_r, resp_w, (req_w, resp_r),
-                  self._image),
+            target=_child_entry,
+            args=(self.spec, self._shm, req_r, resp_w, (req_w, resp_r)),
             daemon=True,
         )
         process.start()
@@ -1188,24 +1001,6 @@ class WorkerHandle:
         self.alive = True
 
     # ------------------------------------------------------------------
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                body = await read_frame(self._reader, self.spec.max_ipc_bytes)
-                if not body:
-                    break
-                req_id, kind, payload = unpack_ipc(body)
-                self._dispatch_frame(req_id, kind, payload)
-        except (ConnectionError, OSError, ProtocolError, asyncio.CancelledError):
-            pass
-        finally:
-            self._fail_pending()
-            was_alive = self.alive
-            self.alive = False
-            if was_alive:
-                self._on_death(self)
 
     def _on_shm_readable(self) -> None:
         """Doorbell callback: drain the pipe, then the response ring.
@@ -1234,7 +1029,6 @@ class WorkerHandle:
             self._shm_link_down()
 
     def _drain_responses(self) -> None:
-        assert self._shm is not None
         ring = self._shm.response
         while True:
             try:
@@ -1256,7 +1050,7 @@ class WorkerHandle:
             self._dispatch_frame(req_id, kind, payload)
 
     def _dispatch_frame(self, req_id: int, kind: int, payload: bytes) -> None:
-        """Shared by both transports: events and reply-future resolution."""
+        """Route one response slot: events, or reply-future resolution."""
         if req_id == EVENT_ID and kind == KIND_CONTROL:
             event = json.loads(payload.decode())
             if (self._hello_future is not None
@@ -1292,8 +1086,7 @@ class WorkerHandle:
         self._door_req_w = self._door_resp_r = -1
 
     def _shm_link_down(self) -> None:
-        """Worker death on the shm transport (the socket path's read-loop
-        ``finally``): deliver what it published, fail the rest."""
+        """The worker is gone: deliver what it published, fail the rest."""
         if self._link_closed:
             return
         self._drain_responses()
@@ -1325,20 +1118,14 @@ class WorkerHandle:
             raise WorkerDiedError(f"worker {self.worker_id} is down")
         req_id = self._next_id
         self._next_id += 1
-        if self.spec.transport == "shm":
-            assert self._shm is not None
-            # push before any bookkeeping: on failure the op was simply
-            # never submitted (RingFullError surfaces as per-op BUSY)
-            if not self._shm.request.try_push(
-                    _IPC_HEAD.pack(req_id, kind) + payload, self._epoch):
-                raise RingFullError(
-                    f"worker {self.worker_id} request ring is full"
-                )
-            ring_doorbell(self._door_req_w)
-        else:
-            if self._writer is None:
-                raise WorkerDiedError(f"worker {self.worker_id} is down")
-            self._writer.write(pack_ipc(req_id, kind, payload))
+        # push before any bookkeeping: on failure the op was simply
+        # never submitted (RingFullError surfaces as per-op BUSY)
+        if not self._shm.request.try_push(
+                _IPC_HEAD.pack(req_id, kind) + payload, self._epoch):
+            raise RingFullError(
+                f"worker {self.worker_id} request ring is full"
+            )
+        ring_doorbell(self._door_req_w)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = (future, ops)
         self.pending_ops += ops
@@ -1381,7 +1168,11 @@ class WorkerHandle:
     # ------------------------------------------------------------------
 
     async def shutdown(self, graceful: bool = True) -> None:
-        """Stop the process; never raises."""
+        """Stop the process and close its link; never raises.
+
+        The link is torn down here, after the join, so no doorbell
+        callback can touch the rings once the pool destroys them.
+        """
         if graceful and self.alive:
             try:
                 await asyncio.wait_for(self.control({"cmd": "stop"}),
@@ -1389,19 +1180,13 @@ class WorkerHandle:
             except Exception:
                 pass
         self.alive = False
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-        if self._writer is not None:
-            self._writer.close()
         process = self._process
         if process is not None and process.is_alive():
             await asyncio.get_running_loop().run_in_executor(
                 None, self._join_or_kill, process
             )
+        if process is not None:
+            self._shm_link_down()
 
     @staticmethod
     def _join_or_kill(process) -> None:
@@ -1414,11 +1199,11 @@ class WorkerHandle:
 class WorkerPool:
     """Spawns, routes to, and supervises the shard worker processes.
 
-    With ``transport="shm"`` the pool owns one persistent
-    :class:`~repro.serve.shm.ShmTransport` ring pair per worker slot: the
-    rings outlive worker incarnations (a restart bumps the slot's u16
-    epoch and drains stale slots via ``begin_generation``), and the pool
-    unlinks the segments at :meth:`stop`.
+    The pool owns one persistent :class:`~repro.serve.shm.ShmTransport`
+    ring pair per worker slot: the rings outlive worker incarnations (a
+    restart bumps the slot's u16 epoch and drains stale slots via
+    ``begin_generation``), and the pool unlinks the segments at
+    :meth:`stop`.
     """
 
     RESTART_ATTEMPTS = 5
@@ -1429,24 +1214,16 @@ class WorkerPool:
         n_workers: int,
         stats: ServeStats,
         log_dir: str,
-        transport: str = "socket",
         ring_bytes: int = DEFAULT_RING_BYTES,
         routing: Optional[RoutingTable] = None,
-        read_path: str = "ring",
     ) -> None:
         self.config = config
         self.n_workers = n_workers
         self.stats = stats
         self.log_dir = log_dir
-        self.transport = transport
         self.routing = routing
-        self.read_path = read_path
         self._ring_bytes = ring_bytes
         self._transports: List[Optional[ShmTransport]] = [None] * n_workers
-        #: per-worker shared index images (read_path="shared" only);
-        #: created pre-fork so the child inherits the mapping, and — like
-        #: the ring transports — they outlive worker incarnations
-        self._images: List[Optional[SharedIndexImage]] = [None] * n_workers
         self._epochs = [1] * n_workers
         self._handles: List[Optional[WorkerHandle]] = [None] * n_workers
         self._restarting: Dict[int, asyncio.Task] = {}
@@ -1466,18 +1243,6 @@ class WorkerPool:
             pair.set_epoch(self._epochs[worker_id])
             self._transports[worker_id] = pair
         return pair
-
-    def image_for(self, worker_id: int) -> Optional[SharedIndexImage]:
-        """The worker's shared index image (``None`` on the ring path)."""
-        if self.read_path != "shared":
-            return None
-        image = self._images[worker_id]
-        if image is None:
-            image = SharedIndexImage.create(ImageLayout.for_store(
-                self.config.n_shards, self.config.expected_items
-            ))
-            self._images[worker_id] = image
-        return image
 
     def ring_stale_discarded(self) -> int:
         """Total stale-generation ring slots dropped across the pool."""
@@ -1511,13 +1276,11 @@ class WorkerPool:
             seed=self.config.seed,
             durable=self.config.durable or plan is not None,
             write_stall=self.config.write_stall,
-            max_ipc_bytes=self.config.max_frame_bytes + 4096,
             fault_spec=plan.spec() if plan is not None else None,
             fault_seed=plan.seed if plan is not None else 0,
             armed=self._armed,
             log_dir=self.log_dir,
             maintenance=self.config.maintenance,
-            transport=self.transport,
             epoch=self._epochs[worker_id],
             owned_shards=(self.routing.shards_of_worker(worker_id)
                           if self.routing is not None else None),
@@ -1527,11 +1290,9 @@ class WorkerPool:
         )
 
     def _make_handle(self, worker_id: int) -> WorkerHandle:
-        shm = (self._transport_for(worker_id)
-               if self.transport == "shm" else None)
         return WorkerHandle(self._spec(worker_id),
                             self._handle_death, self._handle_event,
-                            shm=shm, image=self.image_for(worker_id))
+                            self._transport_for(worker_id))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1565,10 +1326,6 @@ class WorkerPool:
             if pair is not None:
                 pair.destroy()
                 self._transports[worker_id] = None
-        for worker_id, image in enumerate(self._images):
-            if image is not None:
-                image.destroy()
-                self._images[worker_id] = None
 
     # ------------------------------------------------------------------
     # routing
@@ -1616,8 +1373,7 @@ class WorkerPool:
     async def _restart(self, worker_id: int) -> None:
         """Fork a replacement; its durable log files drive recovery.
 
-        On the shm transport every attempt starts a new *generation*:
-        the slot epoch is bumped and ``begin_generation`` drains both
+        Every attempt starts a new *generation*: the slot epoch is bumped and ``begin_generation`` drains both
         rings, so a restarted worker can never replay a pre-crash
         request (and the frontend drops any response the dead — or a
         failed-spawn — incarnation left behind)."""
@@ -1626,13 +1382,12 @@ class WorkerPool:
                 if self._stopping:
                     return
                 try:
-                    if self.transport == "shm":
-                        self._epochs[worker_id] = (
-                            (self._epochs[worker_id] % 0xFFFF) + 1
-                        )
-                        self._transport_for(worker_id).begin_generation(
-                            self._epochs[worker_id]
-                        )
+                    self._epochs[worker_id] = (
+                        (self._epochs[worker_id] % 0xFFFF) + 1
+                    )
+                    self._transport_for(worker_id).begin_generation(
+                        self._epochs[worker_id]
+                    )
                     handle = self._make_handle(worker_id)
                     await handle.spawn()
                 except Exception:
@@ -1771,15 +1526,15 @@ class WorkerServer(McCuckooServer):
     ) -> None:
         if n_workers <= 0:
             raise ConfigurationError("n_workers must be positive")
+        if not shm_available():
+            # checked at construction so an unsupported platform fails
+            # here, not mid-serve
+            raise ConfigurationError(
+                "the multi-process server needs "
+                "multiprocessing.shared_memory, which is unavailable on "
+                "this platform; serve single-process (--workers 0)"
+            )
         super().__init__(config)
-        #: the resolved worker transport ("shm" or "socket"); resolving
-        #: here makes an explicit ``transport="shm"`` on an unsupported
-        #: platform fail at construction, not mid-serve
-        self.transport = resolve_transport(self.config.transport)
-        #: the resolved GET read path ("shared" or "ring"); like the
-        #: transport, an explicit ``read_path="shared"`` on a platform
-        #: without shared memory fails here, not mid-serve
-        self.read_path = resolve_read_path(self.config.read_path)
         # more workers than shards would leave idle processes owning
         # nothing; clamp so every worker owns at least one shard
         self.n_workers = min(n_workers, self.config.n_shards)
@@ -1796,7 +1551,6 @@ class WorkerServer(McCuckooServer):
         self._replica_pending = 0
         self._replica_errors = 0
         self._pool: Optional[WorkerPool] = None
-        self._readers: List[Optional[SharedImageReader]] = []
         self._log_dir: Optional[str] = None
         # tick-coalescing run aggregator: batch ops from every client
         # connection admitted in the same event-loop tick share one
@@ -1822,18 +1576,11 @@ class WorkerServer(McCuckooServer):
         self._log_dir = tempfile.mkdtemp(prefix="mccuckoo-worker-logs-")
         self._pool = WorkerPool(self.config, self.n_workers, self.stats,
                                 self._log_dir,
-                                transport=self.transport,
                                 ring_bytes=self.config.shm_ring_bytes,
-                                routing=self._routing,
-                                read_path=self.read_path)
-        self._readers = [None] * self.n_workers
+                                routing=self._routing)
         await self._pool.start()
 
     async def _stop_backend(self) -> None:
-        for reader in self._readers:
-            if reader is not None:
-                reader.close()
-        self._readers = []
         if self._pool is not None:
             await self._pool.stop()
             self._pool = None
@@ -1955,92 +1702,6 @@ class WorkerServer(McCuckooServer):
     def _worker_of_key(self, key: int) -> int:
         return self._routing.worker_of_shard(self._router.shard_of(key))
 
-    # -- shared read path (read_path="shared") -------------------------
-
-    def _reader_for(self, worker_id: int) -> Optional[SharedImageReader]:
-        if self.read_path != "shared" or not self._readers:
-            return None
-        reader = self._readers[worker_id]
-        if reader is None:
-            image = self.pool.image_for(worker_id)
-            if image is None:
-                return None
-            reader = SharedImageReader(image)
-            self._readers[worker_id] = reader
-        return reader
-
-    def _shared_get(
-        self, worker_id: int, shard: int, key: int
-    ) -> Optional[Tuple[bool, bytes]]:
-        """One GET off the worker's image; ``None`` → take the ring path.
-
-        Gated on the owner handle being alive: a dead owner's image is
-        still coherent (publish-before-ack means it covers every acked
-        write), but sending the read down the normal path keeps the
-        replica-failover semantics identical across read paths.  Fenced
-        shards also fall back — mid-migration the ring path's fence/flip
-        interplay is the audited one.
-        """
-        if shard in self._fences or self._pool is None:
-            return None
-        handle = self._pool._handles[worker_id]
-        if handle is None or not handle.alive:
-            return None
-        reader = self._reader_for(worker_id)
-        if reader is None:
-            return None
-        before = reader.retries
-        result = reader.get(shard, key)
-        self.stats.shared_read_retries += reader.retries - before
-        if result is None:
-            self.stats.shared_read_fallbacks += 1
-            return None
-        self.stats.shared_reads += 1
-        return result
-
-    def _shared_run(
-        self, worker_id: int, run: List[Tuple[Any, _OpSink]]
-    ) -> List[Tuple[Any, _OpSink]]:
-        """Resolve an all-GET run's ops straight from the worker's image.
-
-        Each shard's sub-run is validated under one seqlock bracket;
-        returns the ops that still need the ring (everything, when the
-        image is unusable outright).
-        """
-        if self._pool is None:
-            return run
-        handle = self._pool._handles[worker_id]
-        if handle is None or not handle.alive:
-            return run
-        reader = self._reader_for(worker_id)
-        if reader is None:
-            return run
-        by_shard: Dict[int, List[Tuple[Any, _OpSink]]] = {}
-        leftover: List[Tuple[Any, _OpSink]] = []
-        for op, sink in run:
-            shard = self._router.shard_of(op.key)
-            if shard in self._fences:
-                leftover.append((op, sink))
-            else:
-                by_shard.setdefault(shard, []).append((op, sink))
-        for shard, group in by_shard.items():
-            before = reader.retries
-            results = reader.get_run(shard, [op.key for op, _ in group])
-            self.stats.shared_read_retries += reader.retries - before
-            if results is None:
-                self.stats.shared_read_fallbacks += len(group)
-                leftover.extend(group)
-                continue
-            self.stats.shared_reads += len(group)
-            for (op, sink), (found, value) in zip(group, results):
-                self.stats.note_get(hit=found)
-                self._resolve_op(
-                    sink,
-                    ValueReply(found=True, value=value) if found
-                    else ValueReply(found=False),
-                )
-        return leftover
-
     def _worker_busy_reply(self, worker_id: int) -> ErrorReply:
         self.stats.busy_rejections += 1
         return ErrorReply(
@@ -2087,13 +1748,6 @@ class WorkerServer(McCuckooServer):
         if is_write and shard in self._fences:
             await self._await_fence(shard)
         worker_id = self._routing.worker_of_shard(shard)
-        if self.read_path == "shared" and isinstance(request, GetRequest):
-            shared = self._shared_get(worker_id, shard, request.key)
-            if shared is not None:
-                found, value = shared
-                self.stats.note_get(hit=found)
-                return (ValueReply(found=True, value=value) if found
-                        else ValueReply(found=False))
         try:
             handle = self.pool.handle_for_worker(worker_id)
         except WorkerUnavailableError as error:
@@ -2224,11 +1878,6 @@ class WorkerServer(McCuckooServer):
     def _send_run(self, worker_id: int,
                   run: List[Tuple[Any, _OpSink]],
                   rerouted: bool = False) -> None:
-        if (self.read_path == "shared" and not rerouted
-                and all(isinstance(op, GetRequest) for op, _ in run)):
-            run = self._shared_run(worker_id, run)
-            if not run:
-                return
         try:
             handle = self.pool.handle_for_worker(worker_id)
         except WorkerUnavailableError as error:
@@ -2310,8 +1959,6 @@ class WorkerServer(McCuckooServer):
         per_worker = await self.pool.collect_stats()
         gauges: Dict[str, float] = {
             "connections_active": self._connections,
-            "transport_shm": 1 if self.transport == "shm" else 0,
-            "read_path_shared": 1 if self.read_path == "shared" else 0,
             "ring_stale_discarded": self.pool.ring_stale_discarded(),
             "workers": self.n_workers,
             "workers_up": sum(
@@ -2433,6 +2080,4 @@ __all__ = [
     "WorkerServer",
     "WorkerSpec",
     "WorkerUnavailableError",
-    "pack_ipc",
-    "unpack_ipc",
 ]

@@ -9,7 +9,6 @@ the default run is byte-identical to the suite before seeding existed.
     PYTEST_SEED=1234 python -m pytest tests/
 """
 
-import os
 import random
 
 import pytest
@@ -20,27 +19,6 @@ from repro.workloads import distinct_keys
 from .seeding import base_seed as _base_seed
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--transport",
-        default=None,
-        choices=("auto", "shm", "socket"),
-        help="pin the serve-layer worker transport for every server the "
-             "suite starts with transport='auto' (sets "
-             "REPRO_SERVE_TRANSPORT; the CI transport matrix runs "
-             "tests/serve once per value)",
-    )
-    parser.addoption(
-        "--read-path",
-        default=None,
-        choices=("auto", "ring", "shared"),
-        help="pin the serve-layer GET path for every server the suite "
-             "starts with read_path='auto' (sets REPRO_SERVE_READ_PATH; "
-             "the CI matrix runs tests/serve once with 'shared' so the "
-             "whole serve suite exercises the shared-image read path)",
-    )
-
-
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
@@ -48,23 +26,10 @@ def pytest_configure(config):
         "pytest-timeout is installed (the CI reshard matrix installs it; "
         "a bare checkout ignores the mark)",
     )
-    transport = config.getoption("--transport")
-    if transport and transport != "auto":
-        os.environ["REPRO_SERVE_TRANSPORT"] = transport
-    read_path = config.getoption("--read-path")
-    if read_path and read_path != "auto":
-        os.environ["REPRO_SERVE_READ_PATH"] = read_path
 
 
 def pytest_report_header(config):
-    header = f"PYTEST_SEED={_base_seed()} (set PYTEST_SEED=<n> to replay)"
-    transport = config.getoption("--transport")
-    if transport:
-        header += f"  serve-transport={transport}"
-    read_path = config.getoption("--read-path")
-    if read_path:
-        header += f"  serve-read-path={read_path}"
-    return header
+    return f"PYTEST_SEED={_base_seed()} (set PYTEST_SEED=<n> to replay)"
 
 
 @pytest.fixture(scope="session")

@@ -53,7 +53,8 @@ from repro.serve.protocol import (
     encode_migrate,
     encode_replica,
 )
-from repro.serve.workers import KIND_MIGRATE, pack_ipc
+from repro.serve.shm import _HEADER_BYTES, SLOT_OVERHEAD, ShmRing, shm_available
+from repro.serve.workers import _IPC_HEAD, KIND_MIGRATE
 from tests.seeding import derive
 
 BODY_OFFSET = 8  # u32 length + u32 crc32
@@ -358,17 +359,30 @@ class TestMigrationFrameFuzz:
                 encoded = encode_replica(frame)
             assert encoded == bytes(body)
 
+    @pytest.mark.skipif(not shm_available(),
+                        reason="multiprocessing.shared_memory unavailable")
     def test_crc_layer_catches_transport_flips(self):
-        """Through the IPC envelope (pack_ipc → read_frame), a flipped
-        bit in a migration frame is caught by the CRC before the codec
+        """Through the worker transport (a shm ring slot), a flipped bit
+        in a migration frame is caught by the slot CRC before the codec
         ever sees it."""
         rng = random.Random(derive(0xF1A8))
-        async def scenario():
+        ring = ShmRing.create(1 << 16)
+        try:
             for _ in range(200):
-                body = rng.choice(self.FRAMES)
-                envelope = bytearray(pack_ipc(5, KIND_MIGRATE, bytes(body)))
-                envelope[BODY_OFFSET + rng.randrange(
-                    len(envelope) - BODY_OFFSET)] ^= rng.randrange(1, 256)
-                with pytest.raises(ProtocolError, match="checksum"):
-                    await asyncio.wait_for(read_frame(feed(bytes(envelope))), 5)
-        run(scenario())
+                body = _IPC_HEAD.pack(5, KIND_MIGRATE) + rng.choice(
+                    self.FRAMES)
+                assert ring.try_push(body, epoch=1)
+                # records never straddle the end, so the slot just pushed
+                # ends exactly at the new tail
+                start = (_HEADER_BYTES + SLOT_OVERHEAD
+                         + (ring.tail - len(body) - SLOT_OVERHEAD)
+                         % ring.capacity)
+                ring._buf[start + rng.randrange(len(body))] ^= (
+                    rng.randrange(1, 256))
+                with pytest.raises(ProtocolError, match="CRC"):
+                    ring.pop()
+                ring.drain_all()  # the consumer's torn-slot recovery
+                assert ring.pop() is None
+        finally:
+            ring.close()
+            ring.unlink()

@@ -1,5 +1,6 @@
-"""Live resharding: phase matrix under injected crashes, transport
-parity, replica failover, and the migrating faultgen audit.
+"""Live resharding: phase matrix under injected crashes, parity with the
+single-process server, replica failover, and the migrating faultgen
+audit.
 
 The crash matrix leans on the deterministic per-worker consult order of
 ``kill_worker_during=migration``: the source worker consults the rule at
@@ -24,10 +25,10 @@ from repro.core.snapshot import snapshot_resizable
 from repro.faults import FaultPlan
 from repro.serve import (
     McCuckooClient,
+    McCuckooServer,
     ServerBusyError,
     ServerConfig,
     WorkerServer,
-    shm_available,
 )
 from repro.serve.faultgen import FaultgenConfig, run_faultgen
 from repro.serve.stats import ServeStats
@@ -46,14 +47,6 @@ def config(**overrides) -> ServerConfig:
                     durable=True)
     defaults.update(overrides)
     return ServerConfig(**defaults)
-
-
-def transports():
-    """Both worker transports, shm only where the platform supports it."""
-    values = ["socket"]
-    if shm_available():
-        values.insert(0, "shm")
-    return values
 
 
 async def fill(client, n_keys, tag=b"v"):
@@ -236,35 +229,40 @@ class TestCrashMatrix:
 
 class TestTransportParity:
     def test_same_migration_same_image_on_both_transports(self):
-        """One scenario under each transport: identical final images.
+        """Two migrations over the worker rings leave the same image as
+        the single-process server, where ops reach the store in-process.
 
-        The migration machinery rides the ordinary IPC envelope, so the
+        The migration machinery rides the ordinary ring slots, so the
         surviving key→value map — the observable store image — must be
-        byte-identical between shm rings and socketpair streams.
+        identical to the one a server that never migrated holds.
         """
-        if not shm_available():
-            pytest.skip("shm transport unavailable on this platform")
 
-        async def scenario(transport):
-            image = {}
-            async with WorkerServer(config(transport=transport),
-                                    n_workers=2) as server:
+        async def read_image(client):
+            # 170 keys: the 150 written plus 20 absent ones
+            return {key: await client.get(key) for key in range(1, 171)}
+
+        async def migrated():
+            async with WorkerServer(config(), n_workers=2) as server:
                 host, port = server.address
                 async with McCuckooClient(host, port) as client:
                     expected = await fill(client, 150)
                     assert (await server.reshard(0, 1)).committed
                     assert (await server.reshard(3, 0)).committed
-                    for key in range(1, 171):  # includes 20 absent keys
-                        image[key] = await client.get(key)
                     await audit(client, expected)
                     assert server.routing_epoch == 2
-            return image
+                    return await read_image(client)
 
-        shm_image = run(scenario("shm"))
-        socket_image = run(scenario("socket"))
-        assert shm_image == socket_image
-        assert any(value is not None for value in shm_image.values())
-        run(scenario("shm"))  # deterministic under repetition too
+        async def in_process():
+            async with McCuckooServer(config()) as server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    await fill(client, 150)
+                    return await read_image(client)
+
+        image = run(migrated())
+        assert image == run(in_process())
+        assert any(value is not None for value in image.values())
+        assert run(migrated()) == image  # deterministic under repetition
 
 
 class TestReplicaReads:
@@ -333,15 +331,13 @@ class TestReplicaReads:
 
 class TestMigratingFaultgen:
     """The extended audit: acked writes must survive live migrations —
-    including migrations whose workers are killed mid-phase — on both
-    transports, with the key→worker map re-derived per routing epoch."""
+    including migrations whose workers are killed mid-phase — with the
+    key→worker map re-derived per routing epoch."""
 
-    @pytest.mark.parametrize("transport", transports())
-    def test_zero_lost_acked_writes_with_kills_mid_migration(
-            self, transport):
+    def test_zero_lost_acked_writes_with_kills_mid_migration(self):
         report = run(run_faultgen(FaultgenConfig(
             n_ops=700, n_keys=96, concurrency=4, seed=derive(0x8E5C),
-            n_workers=2, migrate=True, transport=transport,
+            n_workers=2, migrate=True,
             faults=("busy=0.01; drop_connection=0.005; "
                     "kill_worker_during=migration:2@0"),
             run_timeout=60.0,

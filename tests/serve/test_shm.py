@@ -1,21 +1,24 @@
-"""Shared-memory transport: ring mechanics, epochs, and transport parity.
+"""Shared-memory transport: ring mechanics, epochs, and path parity.
 
 The unit half exercises :class:`~repro.serve.shm.ShmRing` directly —
 wrap-around at every offset, backpressure, torn-write detection, and the
 generation (epoch) machinery the worker supervisor leans on.  The
-integration half forks real worker processes and checks that the shm and
-socketpair transports are observably equivalent, that ring-full pressure
-surfaces as BUSY, and that a killed worker never replays a pre-crash
-request.
+integration half forks real worker processes and checks that an op
+carried over the shm rings to a worker is observably equivalent to the
+same op served in-process by the single-process server, that ring-full
+pressure surfaces as BUSY, that a killed worker never replays a
+pre-crash request, and that shutdown closes every worker link.
 """
 
 import asyncio
+import os
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.serve import (
     McCuckooClient,
+    McCuckooServer,
     RetryPolicy,
     ServerBusyError,
     ServerConfig,
@@ -28,7 +31,6 @@ from repro.serve.shm import (
     RingFrameTooLarge,
     ShmRing,
     ShmTransport,
-    resolve_transport,
     shm_available,
 )
 from repro.serve.shm import _HEADER_BYTES  # noqa: F401  (test-only poke)
@@ -175,35 +177,14 @@ class TestRingEpochs:
 
 
 class TestTransportSelection:
-    def test_socket_always_resolves(self):
-        assert resolve_transport("socket") == "socket"
-
-    def test_auto_resolves_to_shm_here(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_TRANSPORT", raising=False)
-        assert resolve_transport("auto") == "shm"
-
-    def test_auto_honours_environment_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_TRANSPORT", "socket")
-        assert resolve_transport("auto") == "socket"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_transport("pigeon")
-
     def test_explicit_shm_errors_when_unavailable(self, monkeypatch):
+        # the rings are the worker server's only transport: without
+        # shared memory it must refuse at construction, not mid-serve
         import repro.serve.shm as shm_mod
 
         monkeypatch.setattr(shm_mod, "_SHM_PROBE", False)
-        with pytest.raises(ConfigurationError):
-            resolve_transport("shm")
-        with pytest.raises(ConfigurationError):
-            WorkerServer(config(transport="shm"), n_workers=2)
-
-    def test_worker_server_records_resolved_transport(self):
-        assert WorkerServer(config(transport="shm"),
-                            n_workers=2).transport == "shm"
-        assert WorkerServer(config(transport="socket"),
-                            n_workers=2).transport == "socket"
+        with pytest.raises(ConfigurationError, match="shared_memory"):
+            WorkerServer(config(), n_workers=2)
 
 
 def _seeded_ops(seed: int, n_ops: int, n_keys: int):
@@ -238,15 +219,26 @@ def _normalize(reply):
             getattr(reply, "deleted", None), getattr(reply, "code", None))
 
 
+def _server(n_workers: int, **overrides):
+    """The reference path (``n_workers == 0``: the single-process server,
+    ops served in-process) or the worker path (ops carried over the shm
+    rings to ``n_workers`` worker processes)."""
+    if n_workers == 0:
+        return McCuckooServer(config(**overrides))
+    return WorkerServer(config(**overrides), n_workers=n_workers)
+
+
 class TestTransportEquivalence:
+    """The two ways an op reaches a shard's store — an in-process call in
+    :class:`McCuckooServer`, and a ring hop to a
+    :class:`WorkerServer` worker — must be observably equivalent."""
+
     def test_same_op_stream_same_replies_on_both_transports(self):
         seed = derive(901)
         chunks = _seeded_ops(seed, n_ops=640, n_keys=96)
 
-        async def drive(transport):
-            server = WorkerServer(
-                config(seed=seed, transport=transport), n_workers=2
-            )
+        async def drive(n_workers):
+            server = _server(n_workers, seed=seed)
             observed = []
             async with server:
                 host, port = server.address
@@ -260,18 +252,17 @@ class TestTransportEquivalence:
                          "store_items")}
             return observed, counters
 
-        shm_replies, shm_counters = run(drive("shm"))
-        socket_replies, socket_counters = run(drive("socket"))
-        assert shm_replies == socket_replies
-        assert shm_counters == socket_counters
+        ring_replies, ring_counters = run(drive(2))
+        local_replies, local_counters = run(drive(0))
+        assert ring_replies == local_replies
+        assert ring_counters == local_counters
+        assert ring_counters["gets"] > 0 and ring_counters["store_items"] > 0
 
     def test_scalar_ops_equivalent_across_transports(self):
         seed = derive(902)
 
-        async def drive(transport):
-            server = WorkerServer(
-                config(seed=seed, transport=transport), n_workers=2
-            )
+        async def drive(n_workers):
+            server = _server(n_workers, seed=seed)
             out = []
             async with server:
                 host, port = server.address
@@ -284,7 +275,7 @@ class TestTransportEquivalence:
                         out.append(await client.delete(key))
             return out
 
-        assert run(drive("shm")) == run(drive("socket"))
+        assert run(drive(2)) == run(drive(0))
 
 
 class TestRingBackpressure:
@@ -295,7 +286,6 @@ class TestRingBackpressure:
         async def scenario():
             server = WorkerServer(
                 config(
-                    transport="shm",
                     shm_ring_bytes=4096,
                     writer_queue_depth=100_000,
                     write_stall=0.005,
@@ -327,8 +317,7 @@ class TestRingBackpressure:
         # fail loudly (TOO_LARGE), not wedge the transport
         async def scenario():
             server = WorkerServer(
-                config(transport="shm", shm_ring_bytes=4096,
-                       max_frame_bytes=1 << 20),
+                config(shm_ring_bytes=4096, max_frame_bytes=1 << 20),
                 n_workers=1,
             )
             async with server:
@@ -359,10 +348,8 @@ class TestKillWorkerNoReplay:
             faults="kill_worker=120",
             run_timeout=60.0,
             n_workers=2,
-            transport="shm",
         )
         report = run(run_faultgen(fg))
-        assert report.transport == "shm"
         assert report.worker_restarts >= 1, "the kill rule never fired"
         assert report.lost_acked_writes == 0
         assert report.phantom_values == 0
@@ -374,7 +361,7 @@ class TestKillWorkerNoReplay:
         # them (they belong to the previous epoch)
         async def scenario():
             server = WorkerServer(
-                config(transport="shm", write_stall=0.01,
+                config(write_stall=0.01,
                        writer_queue_depth=100_000, durable=True),
                 n_workers=1,
             )
@@ -401,5 +388,52 @@ class TestKillWorkerNoReplay:
                     assert stats["ring_stale_discarded"] >= 1
                     # the store still serves reads after the generation flip
                     assert await client.get(0) == b"seed"
+
+        run(scenario())
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("eof_seen", [True, False],
+                             ids=["eof-seen", "eof-unseen"])
+    def test_exit_closes_every_worker_link(self, monkeypatch, eof_seen):
+        # WorkerPool.stop destroys the rings right after the handles shut
+        # down, so each handle must already have closed its link: a late
+        # doorbell callback would pop from released ring memory.  The
+        # eof-unseen case is the race itself — a worker exits on "stop"
+        # but the loop has not run its EOF callback when the pool stops —
+        # so only shutdown can close the link there.
+        from repro.serve.workers import WorkerHandle
+
+        def eof_unseen(handle):
+            try:
+                data = os.read(handle._door_resp_r, 65536)
+            except BlockingIOError:
+                data = b"wakeup"
+            if not data:
+                handle._loop.remove_reader(handle._door_resp_r)
+                return
+            handle._drain_responses()
+
+        if not eof_seen:
+            monkeypatch.setattr(WorkerHandle, "_on_shm_readable", eof_unseen)
+
+        async def scenario():
+            server = WorkerServer(config(), n_workers=2)
+            async with server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    assert await client.put(1, b"x")
+                    assert await client.get(1) == b"x"
+                handles = [handle for _, handle in server.pool.live_handles()]
+                assert all(handle is not None for handle in handles)
+                fds = [handle._door_resp_r for handle in handles]
+            loop = asyncio.get_running_loop()
+            for handle, fd in zip(handles, fds):
+                assert handle._link_closed
+                assert handle._door_resp_r == -1
+                assert handle._door_req_w == -1
+                assert not handle.alive
+                assert not loop.remove_reader(fd)  # no reader registered
+                assert not handle._process.is_alive()
 
         run(scenario())
