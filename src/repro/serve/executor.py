@@ -1,0 +1,159 @@
+"""The shard executor: the one code path that applies ops to shards.
+
+Both servers keep one writer per shard (§III.H): an asyncio writer task
+per shard in :class:`~repro.serve.server.McCuckooServer`, the FIFO loop
+of each worker process in :class:`~repro.serve.workers.WorkerServer`.
+Both loops call a :class:`ShardExecutor`, the only code that applies a
+PUT or DELETE, builds GET replies, heals an :class:`InjectedCrash` and
+ticks maintenance; the loops keep only how they sleep, and the worker
+its kill rule, migration phases and log files.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+
+from ..faults import InjectedCrash
+from ..maintenance import MaintenanceDaemon
+from .protocol import (
+    DeleteReply,
+    ErrorCode,
+    ErrorReply,
+    PutReply,
+    PutRequest,
+    SimpleReply,
+    SimpleRequest,
+    ValueReply,
+)
+from .stats import ServeStats
+from .store import ShardedLogStore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .server import ServerConfig
+
+
+def build_store(
+    config: "ServerConfig", owned: Optional[Sequence[int]] = None
+) -> ShardedLogStore:
+    """The store for ``config``: every shard, or a worker's ``owned``
+    slice.  A fault plan makes it durable, so crashes can be healed."""
+    return ShardedLogStore(
+        n_shards=config.n_shards,
+        expected_items=config.expected_items,
+        seed=config.seed,
+        durable=config.durable,
+        faults=config.fault_plan,
+        owned=owned,
+        engine=config.engine,
+        kick_policy=config.kick_policy,
+    )
+
+
+class ShardExecutor:
+    """Applies ops to a store slice, counting them in ``stats``, under
+    the fault plan and maintenance policy of ``config``.
+
+    Synchronous: the caller keeps one writer per shard.
+    ``on_recover(shard)`` runs after a shard was rebuilt in place; the
+    other keywords are :class:`MaintenanceDaemon` hooks.
+    """
+
+    def __init__(
+        self,
+        config: "ServerConfig",
+        store: ShardedLogStore,
+        stats: ServeStats,
+        *,
+        on_recover: Optional[Callable[[int], None]] = None,
+        interrupt: Optional[Callable[[str, int], None]] = None,
+        checkpoint_writer: Optional[Callable[[int, bytes], None]] = None,
+        on_commit: Optional[Callable[[Any], None]] = None,
+    ) -> None:
+        self.store = store
+        self.stats = stats
+        self.faults = config.fault_plan
+        self._on_recover = on_recover
+        self.daemon: Optional[MaintenanceDaemon] = None
+        maintenance = config.maintenance
+        if maintenance is not None and maintenance.enabled:
+            self.daemon = MaintenanceDaemon(
+                maintenance, interrupt, checkpoint_writer)
+            self.daemon.set_commit_hook(on_commit)
+
+    def writer_delay(self, shard: int) -> float:
+        """Seconds the ``delay_shard`` rule stalls ``shard``'s writer
+        before its next run; each loop sleeps them its own way."""
+        if self.faults is None:
+            return 0.0
+        return self.faults.writer_delay(shard)
+
+    def write(self, request: SimpleRequest) -> SimpleReply:
+        """Apply one PUT or DELETE.  An injected crash answers INTERNAL —
+        the write is not acknowledged — after the shard was rebuilt from
+        its durable image, so no later op sees the poisoned index."""
+        try:
+            if isinstance(request, PutRequest):
+                result = self.store.put(request.key, request.value)
+                self.stats.note_put(
+                    result.created, kicks=result.kicks, stashed=result.stashed
+                )
+                return PutReply(created=result.created)
+            deleted = self.store.delete(request.key)
+            self.stats.note_delete(deleted)
+            return DeleteReply(deleted=deleted)
+        except InjectedCrash as error:
+            self.stats.injected_crashes += 1
+            self._recover(self.store.shard_index(request.key))
+            return self.internal(error)
+        except Exception as error:
+            return self.internal(error)
+
+    def get(self, key: Any) -> SimpleReply:
+        try:
+            value = self.store.get(key)
+        except Exception as error:
+            return self.internal(error)
+        return self._value_reply(value)
+
+    def get_run(self, keys: Sequence[Any]) -> List[SimpleReply]:
+        """A GET run as one paged lookup.  If the run fails as a whole,
+        each key is retried alone, so only a failing GET answers INTERNAL."""
+        try:
+            values = self.store.get_many(keys)
+        except Exception:
+            if not isinstance(keys, list) and hasattr(keys, "tolist"):
+                keys = keys.tolist()  # a uint64 array
+            return [self.get(key) for key in keys]
+        return [self._value_reply(value) for value in values]
+
+    def _value_reply(self, value: Optional[Any]) -> SimpleReply:
+        self.stats.note_get(hit=value is not None)
+        if value is None:
+            return ValueReply(found=False)
+        return ValueReply(found=True, value=bytes(value))
+
+    def internal(self, error: Exception) -> ErrorReply:
+        """Count and answer an op that failed inside the server."""
+        self.stats.internal_errors += 1
+        return ErrorReply(ErrorCode.INTERNAL, str(error))
+
+    def _recover(self, shard: int) -> None:
+        if self.store.durable:
+            self.store.crash_and_recover(shard)
+            self.stats.shard_recoveries += 1
+            if self._on_recover is not None:
+                self._on_recover(shard)
+
+    def maintain(self, shard: int) -> None:
+        """One maintenance tick after a write run was answered.  The
+        run's writes are durable, so a crash inside maintenance is healed
+        like a mid-write crash and never costs an acknowledged write."""
+        if self.daemon is None:
+            return
+        try:
+            self.daemon.maybe_run(self.store.shard(shard), shard)
+        except InjectedCrash:
+            self.stats.injected_crashes += 1
+            self._recover(shard)
+        except Exception:
+            self.stats.internal_errors += 1

@@ -12,6 +12,13 @@ Concurrency model — the paper's one-writer-many-readers discipline
   one, while the BATCH path submits each shard's consecutive writes as a
   single run, so a 32-op batch costs one queue round-trip per shard
   instead of 32.
+* **One executor**: reads and writes reach the store only through a
+  :class:`~repro.serve.executor.ShardExecutor`, the class each worker
+  process of :class:`~repro.serve.workers.WorkerServer` runs too.  It applies
+  the write, builds the GET replies, heals an injected crash and ticks
+  maintenance.  A writer task adds only the asyncio side: the injected
+  ``writer_delay`` and ``write_stall`` are ``asyncio.sleep`` calls, and
+  maintenance ticks once after each queued run.
 * **Backpressure** is explicit: each shard accepts at most
   ``writer_queue_depth`` queued *ops* (tracked by a per-shard counter, not
   the queue length, since runs vary in size) and answers overflow with a
@@ -31,19 +38,18 @@ import asyncio
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..faults import FaultPlan, InjectedCrash
-from ..maintenance import MaintenanceConfig, MaintenanceDaemon
+from ..faults import FaultPlan
+from ..maintenance import MaintenanceConfig
+from .executor import ShardExecutor, build_store
 from .protocol import (
     MAX_FRAME_BYTES,
     BatchReply,
     BatchRequest,
-    DeleteReply,
     DeleteRequest,
     ErrorCode,
     ErrorReply,
     GetRequest,
     ProtocolError,
-    PutReply,
     PutRequest,
     Reply,
     Request,
@@ -51,7 +57,6 @@ from .protocol import (
     SimpleRequest,
     StatsReply,
     StatsRequest,
-    ValueReply,
     decode_request,
     encode_reply,
     read_frame,
@@ -100,8 +105,8 @@ class ServerConfig:
     the dispatch path per write, and by the wire layer per outgoing frame.
     ``None`` (the default) injects nothing."""
     maintenance: Optional[MaintenanceConfig] = None
-    """Background compaction/checkpoint policy, ticked per shard by its
-    writer loop between write runs (:mod:`repro.maintenance`).  ``None``
+    """Background compaction/checkpoint policy, ticked per shard by the
+    shard executor between write runs (:mod:`repro.maintenance`).  ``None``
     disables maintenance entirely."""
     shm_ring_bytes: int = 1 << 22
     """Capacity of each shm ring's data region (one request + one
@@ -129,11 +134,11 @@ class McCuckooServer:
     ) -> None:
         self.config = config if config is not None else ServerConfig()
         self._faults = self.config.fault_plan
-        self._maintenance: Optional[MaintenanceDaemon] = None
-        if self.config.maintenance is not None and self.config.maintenance.enabled:
-            self._maintenance = MaintenanceDaemon(self.config.maintenance)
-        self.store = store if store is not None else self._make_store()
         self.stats = ServeStats()
+        self.store = store if store is not None else self._make_store()
+        self.executor: Optional[ShardExecutor] = None
+        if self.store is not None:
+            self.executor = ShardExecutor(self.config, self.store, self.stats)
         self._server: Optional[asyncio.AbstractServer] = None
         self._write_queues: List[asyncio.Queue] = []
         self._queued_ops: List[int] = []
@@ -143,15 +148,7 @@ class McCuckooServer:
     def _make_store(self) -> Optional[ShardedLogStore]:
         """Build the backing store; subclasses that host their shards out
         of process return ``None`` instead."""
-        return ShardedLogStore(
-            n_shards=self.config.n_shards,
-            expected_items=self.config.expected_items,
-            seed=self.config.seed,
-            durable=self.config.durable or self._faults is not None,
-            faults=self._faults,
-            engine=self.config.engine,
-            kick_policy=self.config.kick_policy,
-        )
+        return build_store(self.config)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -245,22 +242,25 @@ class McCuckooServer:
     # ------------------------------------------------------------------
 
     async def _writer_loop(self, shard: int) -> None:
+        """Apply the shard's queued runs through the executor; this loop
+        adds only the asyncio sleeps for ``writer_delay`` and
+        ``write_stall``."""
         queue = self._write_queues[shard]
+        executor = self.executor
         while True:
             run = await queue.get()
             # Slots free as soon as the run is picked up, matching the old
             # bounded-queue behaviour where qsize dropped at get().
             self._queued_ops[shard] -= len(run)
-            if self._faults is not None:
-                delay = self._faults.writer_delay(shard)
-                if delay:
-                    await asyncio.sleep(delay)
+            delay = executor.writer_delay(shard)
+            if delay:
+                await asyncio.sleep(delay)
             try:
                 for position, (request, future) in enumerate(run):
                     try:
                         if self.config.write_stall:
                             await asyncio.sleep(self.config.write_stall)
-                        reply = self._apply_write(request)
+                        reply = executor.write(request)
                         if not future.done():
                             future.set_result(reply)
                     except asyncio.CancelledError:
@@ -268,58 +268,9 @@ class McCuckooServer:
                             if not later.done():
                                 later.set_exception(asyncio.CancelledError())
                         raise
-                    except InjectedCrash as error:
-                        # The shard "process" died mid-write: the write is
-                        # NOT acknowledged, and the shard is rebuilt from
-                        # its durable log image before the next op runs —
-                        # synchronously, so no reader can observe the
-                        # poisoned in-memory index in between.
-                        if not future.done():
-                            future.set_exception(error)
-                        self.stats.injected_crashes += 1
-                        if self.store.durable:
-                            self.store.crash_and_recover(shard)
-                            self.stats.shard_recoveries += 1
-                    except Exception as error:  # surface as INTERNAL
-                        if not future.done():
-                            future.set_exception(error)
-                self._run_maintenance(shard)
+                executor.maintain(shard)
             finally:
                 queue.task_done()
-
-    def _run_maintenance(self, shard: int) -> None:
-        """One maintenance tick after a write run.
-
-        Runs *after* every write in the run was answered: the writes are
-        already durable, so a maintenance crash can never un-acknowledge
-        one.  An injected crash (``crash_during_compaction`` /
-        ``torn_checkpoint``) poisons the shard exactly like a mid-write
-        crash and is healed the same way — synchronous in-place recovery
-        from the durable image (now via its checkpoint slot when valid).
-        """
-        if self._maintenance is None or self.store is None:
-            return
-        try:
-            self._maintenance.maybe_run(self.store.shard(shard), shard)
-        except InjectedCrash:
-            self.stats.injected_crashes += 1
-            if self.store.durable:
-                self.store.crash_and_recover(shard)
-                self.stats.shard_recoveries += 1
-        except Exception:
-            self.stats.internal_errors += 1
-
-    def _apply_write(self, request: SimpleRequest) -> SimpleReply:
-        if isinstance(request, PutRequest):
-            result = self.store.put(request.key, request.value)
-            self.stats.note_put(
-                result.created, kicks=result.kicks, stashed=result.stashed
-            )
-            return PutReply(created=result.created)
-        assert isinstance(request, DeleteRequest)
-        deleted = self.store.delete(request.key)
-        self.stats.note_delete(deleted)
-        return DeleteReply(deleted=deleted)
 
     def _busy_reply(self, shard: int) -> ErrorReply:
         self.stats.busy_rejections += 1
@@ -338,9 +289,6 @@ class McCuckooServer:
         return None
 
     async def _submit_write(self, request: SimpleRequest) -> SimpleReply:
-        injected = self._injected_busy()
-        if injected is not None:
-            return injected
         shard = self.store.shard_index(request.key)
         if self._queued_ops[shard] >= self.config.writer_queue_depth:
             return self._busy_reply(shard)
@@ -387,27 +335,31 @@ class McCuckooServer:
     # ------------------------------------------------------------------
 
     async def _handle_request(self, request: Request) -> Reply:
-        if isinstance(request, GetRequest):
-            value = self.store.get(request.key)
-            self.stats.note_get(hit=value is not None)
-            if value is None:
-                return ValueReply(found=False)
-            return ValueReply(found=True, value=bytes(value))
-        if isinstance(request, (PutRequest, DeleteRequest)):
-            return await self._submit_write(request)
         if isinstance(request, StatsRequest):
             self.stats.stats_calls += 1
-            return StatsReply(self._stats_snapshot())
-        assert isinstance(request, BatchRequest)
-        if len(request.ops) > self.config.max_batch_ops:
-            return ErrorReply(
-                ErrorCode.TOO_LARGE,
-                f"batch of {len(request.ops)} ops exceeds "
-                f"{self.config.max_batch_ops}",
-            )
-        self.stats.batches += 1
-        self.stats.batch_ops += len(request.ops)
-        return await self._handle_batch(request)
+            return StatsReply(await self._stats_snapshot())
+        if isinstance(request, BatchRequest):
+            if len(request.ops) > self.config.max_batch_ops:
+                return ErrorReply(
+                    ErrorCode.TOO_LARGE,
+                    f"batch of {len(request.ops)} ops exceeds "
+                    f"{self.config.max_batch_ops}",
+                )
+            self.stats.batches += 1
+            self.stats.batch_ops += len(request.ops)
+            return await self._handle_batch(request)
+        if isinstance(request, (PutRequest, DeleteRequest)):
+            injected = self._injected_busy()
+            if injected is not None:
+                return injected
+        return await self._handle_op(request)
+
+    async def _handle_op(self, request: SimpleRequest) -> SimpleReply:
+        """One GET, PUT or DELETE: a GET reads inline, a write goes to
+        its shard's writer queue."""
+        if isinstance(request, GetRequest):
+            return self.executor.get(request.key)
+        return await self._submit_write(request)
 
     async def _handle_batch(self, request: BatchRequest) -> BatchReply:
         """Ordered batch, served as runs rather than op-by-op: consecutive
@@ -425,31 +377,15 @@ class McCuckooServer:
 
         async def drain() -> None:
             for index, future in pending:
-                try:
-                    replies[index] = await future
-                except Exception as error:
-                    self.stats.internal_errors += 1
-                    replies[index] = ErrorReply(ErrorCode.INTERNAL, str(error))
+                replies[index] = await future
             pending.clear()
 
-        async def flush_reads() -> None:
-            if not reads:
-                return
-            try:
-                values = self.store.get_many([op.key for _, op in reads])
-            except Exception:
-                # per-op fallback keeps error granularity identical to the
-                # scalar path (each failing GET answers INTERNAL itself)
-                for index, op in reads:
-                    replies[index] = await self._handle_simple(op)
-            else:
-                for (index, _), value in zip(reads, values):
-                    self.stats.note_get(hit=value is not None)
-                    if value is None:
-                        replies[index] = ValueReply(found=False)
-                    else:
-                        replies[index] = ValueReply(found=True, value=bytes(value))
-            reads.clear()
+        def flush_reads() -> None:
+            if reads:
+                run = self.executor.get_run([op.key for _, op in reads])
+                for (index, _), reply in zip(reads, run):
+                    replies[index] = reply
+                reads.clear()
 
         def flush_writes() -> None:
             if writes:
@@ -458,33 +394,24 @@ class McCuckooServer:
 
         for index, op in enumerate(request.ops):
             if isinstance(op, (PutRequest, DeleteRequest)):
-                await flush_reads()
+                flush_reads()
                 writes.append((index, op))
             elif isinstance(op, GetRequest):
                 flush_writes()
                 await drain()
                 reads.append((index, op))
             else:  # STATS: a barrier — everything before it must be visible
-                await flush_reads()
+                flush_reads()
                 flush_writes()
                 await drain()
-                replies[index] = await self._handle_simple(op)
-        await flush_reads()
+                replies[index] = await self._handle_request(op)
+        flush_reads()
         flush_writes()
         await drain()
         assert all(reply is not None for reply in replies)
         return BatchReply(tuple(replies))  # type: ignore[arg-type]
 
-    async def _handle_simple(self, request: SimpleRequest) -> SimpleReply:
-        try:
-            reply = await self._handle_request(request)
-        except Exception as error:
-            self.stats.internal_errors += 1
-            return ErrorReply(ErrorCode.INTERNAL, str(error))
-        assert not isinstance(reply, BatchReply)
-        return reply
-
-    def _stats_snapshot(self) -> dict:
+    async def _stats_snapshot(self) -> dict:
         self.stats.gauges = {
             "connections_active": self._connections,
             "writer_queue_depth": sum(self._queued_ops),

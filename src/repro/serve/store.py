@@ -311,39 +311,59 @@ class ShardedLogStore:
 
     def stats_snapshot(self) -> Dict[str, float]:
         """Index- and log-level gauges for the STATS verb."""
-        items = len(self)
-        shards = self.shards
-        log_records = sum(shard.log_records for shard in shards)
-        stash = 0
-        capacity = 0
-        for shard in shards:
+        return merge_gauge_rows(self.gauge_rows())
+
+    def gauge_rows(self) -> List[Dict[str, float]]:
+        """One row of raw gauges per owned shard, the input of
+        :func:`merge_gauge_rows`; a worker process answers its rows, so
+        the frontend merges every worker's shards as one store would."""
+        rows = []
+        for shard in self.shards:
             index = shard.index
-            capacity += index.capacity
-            for table in (index.active_table, index.retiring_table):
-                if table is not None and table.stash is not None:
-                    stash += len(table.stash)
-        loads = [shard.index.load_ratio for shard in shards]
-        mean_load = sum(loads) / len(loads) if loads else 0.0
-        log_bytes = sum(shard.log_size for shard in shards)
-        ages = [shard.last_checkpoint_age_s for shard in shards]
-        return {
-            "store_items": items,
-            "store_log_records": log_records,
-            "store_garbage_ratio": round(
-                1.0 - items / log_records if log_records else 0.0, 6
-            ),
-            "store_log_bytes": log_bytes,
-            "store_dead_bytes": sum(shard.dead_bytes for shard in shards),
-            "store_compactions": sum(shard.compactions for shard in shards),
-            "store_checkpoints": sum(shard.checkpoints for shard in shards),
-            "store_last_checkpoint_age_s": round(max(ages) if ages else -1.0, 6),
-            "index_capacity": capacity,
-            "index_load_ratio": round(mean_load, 6),
-            "index_imbalance": round(
-                max(loads) / mean_load if mean_load else 1.0, 6
-            ),
-            "index_stash_population": stash,
-        }
+            tables = (index.active_table, index.retiring_table)
+            rows.append({
+                "shard": shard.shard_id,
+                "store_items": len(shard),
+                "store_log_records": shard.log_records,
+                "store_log_bytes": shard.log_size,
+                "store_dead_bytes": shard.dead_bytes,
+                "store_compactions": shard.compactions,
+                "store_checkpoints": shard.checkpoints,
+                "index_capacity": index.capacity,
+                "index_stash_population": sum(
+                    len(table.stash) for table in tables
+                    if table is not None and table.stash is not None
+                ),
+                "load": index.load_ratio,
+                "checkpoint_age_s": shard.last_checkpoint_age_s,
+            })
+        return rows
+
+
+_SUMMED_GAUGES = (
+    "store_items", "store_log_records", "store_log_bytes", "store_dead_bytes",
+    "store_compactions", "store_checkpoints", "index_capacity",
+    "index_stash_population",
+)
+
+
+def merge_gauge_rows(rows: Sequence[Dict[str, float]]) -> Dict[str, float]:
+    """The STATS store gauges from per-shard rows, taken in shard order:
+    sums for sizes, the unweighted mean shard load, the fullest shard's
+    load over that mean as the imbalance, and the oldest checkpoint."""
+    rows = sorted(rows, key=lambda row: row["shard"])
+    gauges = {name: sum(row[name] for row in rows) for name in _SUMMED_GAUGES}
+    items, records = gauges["store_items"], gauges["store_log_records"]
+    loads = [row["load"] for row in rows]
+    mean_load = sum(loads) / len(loads) if loads else 0.0
+    ages = [row["checkpoint_age_s"] for row in rows]
+    gauges.update({
+        "store_garbage_ratio": round(1.0 - items / records if records else 0.0, 6),
+        "store_last_checkpoint_age_s": round(max(ages) if ages else -1.0, 6),
+        "index_load_ratio": round(mean_load, 6),
+        "index_imbalance": round(max(loads) / mean_load if mean_load else 1.0, 6),
+    })
+    return gauges
 
 
 class PutResult:

@@ -7,8 +7,9 @@ timeouts, backpressure — but executes every GET/PUT/DELETE in one of N
 keyspace (``shard % n_workers == worker``, see
 :func:`repro.core.sharded.shards_of_worker`).  Each worker hosts its
 group's :class:`~repro.serve.store.ShardedLogStore` slice — tables,
-durable logs, apply loop — so shards on different workers execute truly
-in parallel across cores instead of time-slicing one GIL.
+durable logs, and the executor that applies ops to them — so shards on
+different workers execute truly in parallel across cores instead of
+time-slicing one GIL.
 
 Topology and transport::
 
@@ -26,11 +27,20 @@ Topology and transport::
   included), ``CONTROL`` payloads are JSON (handshake, stats, disarm,
   ping, stop), and ``BATCH_KEYS`` payloads are raw little-endian u64 key
   runs (all-GET batch runs) that the worker reads as a **zero-copy NumPy
-  view** straight off the ring slot.  Platforms without
-  ``multiprocessing.shared_memory`` cannot run the worker server; it
-  refuses to start with a :class:`ConfigurationError`.
+  view** straight off the ring slot.  An answer too large for the
+  response ring goes back as one TOO_LARGE error instead: the frontend
+  gives it to every op of the run, and a migration phase fails on it.
+  Platforms without ``multiprocessing.shared_memory`` cannot run the
+  worker server; it refuses to start with a :class:`ConfigurationError`.
 * **One GET path**: every GET, like every write, goes down the ring to
   the shard's owning worker, whose store runs the paper's lookup.
+* **One executor**: a worker applies its ops through the
+  :class:`~repro.serve.executor.ShardExecutor` the single-process server
+  uses too.  Its FIFO loop adds only blocking sleeps for
+  ``writer_delay`` and ``write_stall``, the ``kill_worker`` rule and its
+  last gasp, the migration and replica phases, no maintenance for a
+  shard mid-migration (else once per frame for each shard written), and
+  re-publishing a shard's log file after the executor heals it.
 * **Pipelining**: the frontend tags every in-flight op with a request id,
   so one worker link carries many outstanding ops; replies resolve
   futures by id.  A BATCH is forwarded as *one* IPC frame per worker run
@@ -51,7 +61,10 @@ Topology and transport::
 * **Stats**: STATS merges the frontend's counters with every worker's
   (collected over CONTROL), plus per-worker gauges — ``worker<i>_up``,
   ``worker<i>_pending_ops``, ``worker<i>_ops_routed``,
-  ``worker<i>_restarts`` — and the ``worker_restarts`` total.
+  ``worker<i>_restarts`` — and the ``worker_restarts`` total.  Each
+  worker answers one row of store gauges per shard, and the frontend
+  merges them with :func:`~repro.serve.store.merge_gauge_rows`, as the
+  single-process store does, so both servers report the same gauges.
 
 Fault injection in worker mode re-parses the plan spec per process (the
 frontend consults dispatch/frame sites; each worker consults its stores'
@@ -71,6 +84,7 @@ stays the authoritative death count.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -84,8 +98,9 @@ from ..core.errors import ConfigurationError, ReproError
 from ..core.sharded import (
     RoutingTable, ShardRouter, shards_of_worker, worker_of_shard,
 )
-from ..faults import FaultPlan, InjectedCrash
-from ..maintenance import MaintenanceConfig, MaintenanceDaemon
+from ..faults import FaultPlan
+from ..maintenance import MaintenanceDaemon
+from .executor import ShardExecutor, build_store
 from .protocol import (
     FRAME_OVERHEAD,
     KEY_RUN_COUNT,
@@ -105,9 +120,7 @@ from .protocol import (
     ReplicaFrame,
     Request,
     SimpleReply,
-    StatsReply,
     StatsRequest,
-    ValueReply,
     decode_key_run,
     decode_key_run_header,
     decode_migration_frame,
@@ -122,7 +135,6 @@ from .protocol import (
 )
 from .server import McCuckooServer, ServerConfig
 from .shm import (
-    DEFAULT_RING_BYTES,
     RingFrameTooLarge,
     RingFullError,
     ShmTransport,
@@ -131,7 +143,7 @@ from .shm import (
     wait_doorbell,
 )
 from .stats import ServeStats
-from .store import ShardedLogStore
+from .store import ShardedLogStore, merge_gauge_rows
 
 #: head of every ring slot body: u32 req_id + u8 kind
 _IPC_HEAD = struct.Struct(">IB")
@@ -159,6 +171,7 @@ _MERGED_COUNTERS = (
     "puts", "put_creates", "put_updates", "put_kicks", "put_stashed",
     "deletes", "delete_hits", "delete_misses",
     "injected_crashes", "shard_recoveries", "replica_applies",
+    "internal_errors",
 )
 
 
@@ -184,7 +197,7 @@ class MigrationError(ReproError):
 class WorkerSpec:
     """Everything a worker process needs to build its shard slice.
 
-    Derived from the frontend's :class:`ServerConfig` so a restarted
+    Carries the frontend's :class:`ServerConfig` itself, so a restarted
     worker rebuilds *identical* per-shard seeds and capacities — routing
     stability across restarts falls out of this, not of any state
     carried over the IPC link.
@@ -192,16 +205,14 @@ class WorkerSpec:
 
     worker_id: int
     n_workers: int
-    n_shards: int
-    expected_items: int
-    seed: int
-    durable: bool
-    write_stall: float
+    config: ServerConfig
+    """The frontend's config with ``fault_plan=None`` — each worker
+    re-parses ``fault_spec`` into its own plan — and ``durable`` forced
+    on when the frontend has a fault plan."""
     fault_spec: Optional[str] = None
     fault_seed: int = 0
     armed: bool = True
     log_dir: Optional[str] = None
-    maintenance: Optional[MaintenanceConfig] = None
     epoch: int = 1
     """This incarnation's generation: every shm ring slot is stamped with
     it, and slots from other generations are discarded on pop — a
@@ -217,18 +228,13 @@ class WorkerSpec:
     """Shards this worker hosts as read-only replicas (shadow copies fed
     by forwarded writes; never log-sinked — the owner's durable file
     stays the single on-disk authority)."""
-    kick_policy: Optional[str] = None
-    """Victim-selection policy (registry name) for the shard indexes;
-    travels as a string so the spec stays picklable and every restarted
-    worker builds a fresh policy instance per shard."""
-    engine: str = "auto"
-    """Batch-kernel backend for the shard indexes (``ServerConfig.engine``)."""
 
     @property
     def shards(self) -> Tuple[int, ...]:
         if self.owned_shards is not None:
             return self.owned_shards
-        return shards_of_worker(self.worker_id, self.n_shards, self.n_workers)
+        return shards_of_worker(self.worker_id, self.config.n_shards,
+                                self.n_workers)
 
     def log_path(self, shard: int) -> str:
         assert self.log_dir is not None
@@ -243,6 +249,14 @@ class WorkerSpec:
         """Fault rules spent by earlier incarnations of this worker."""
         assert self.log_dir is not None
         return os.path.join(self.log_dir, f"worker-{self.worker_id}.spent")
+
+
+def _read_file(path: str) -> Optional[bytes]:
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
 
 
 def _child_entry(
@@ -351,11 +365,9 @@ class _ShardWorker:
         if self.faults is not None and not spec.armed:
             self.faults.disarm()
         if self.faults is not None and spec.log_dir is not None:
-            try:
-                with open(spec.spent_path) as handle:
-                    self.faults.mark_spent(json.load(handle))
-            except FileNotFoundError:
-                pass
+            spent = _read_file(spec.spent_path)
+            if spent is not None:
+                self.faults.mark_spent(json.loads(spent))
         self._sinks: Dict[int, Any] = {}
         self.recovered_shards: List[int] = []
         self.recovered_records = 0
@@ -367,32 +379,28 @@ class _ShardWorker:
         #: mid-migration *into* this worker (see ``_migrate_apply``)
         self._inbound: Dict[int, Dict[str, Any]] = {}
         owned = sorted(set(spec.shards) | set(spec.replica_shards))
-        self.store = ShardedLogStore(
-            n_shards=spec.n_shards,
-            expected_items=spec.expected_items,
-            seed=spec.seed,
-            durable=spec.durable,
-            faults=self.faults,
-            owned=owned,
-            engine=spec.engine,
-            kick_policy=spec.kick_policy,
+        #: the frontend's config, carrying this process's own fault plan
+        self.config = dataclasses.replace(spec.config, fault_plan=self.faults)
+        self.store = build_store(self.config, owned)
+        #: shards mirror into log files the next incarnation recovers from
+        self._on_disk = on_disk = (self.store.durable
+                                   and spec.log_dir is not None)
+        self.executor = ShardExecutor(
+            self.config, self.store, self.stats,
+            on_recover=self._publish_log if on_disk else None,
+            interrupt=self._maintenance_interrupt,
+            checkpoint_writer=self._write_checkpoint_file if on_disk else None,
+            # the daemon checkpoints again right after a compaction
+            on_commit=(lambda store: self._publish_log(
+                store.shard_id, drop_checkpoint=True)) if on_disk else None,
         )
-        self.daemon: Optional[MaintenanceDaemon] = None
-        if spec.maintenance is not None and spec.maintenance.enabled:
-            self.daemon = MaintenanceDaemon(
-                spec.maintenance,
-                interrupt=self._maintenance_interrupt,
-                checkpoint_writer=(
-                    self._write_checkpoint_file
-                    if spec.durable and spec.log_dir is not None
-                    else None
-                ),
-            )
-            if spec.durable and spec.log_dir is not None:
-                self.daemon.set_commit_hook(self._on_compaction_commit)
-        if spec.durable and spec.log_dir is not None:
+        if on_disk:
             for shard in spec.shards:
                 self._open_shard_log(shard)
+
+    @property
+    def daemon(self) -> Optional[MaintenanceDaemon]:
+        return self.executor.daemon
 
     # ------------------------------------------------------------------
     # durable log files
@@ -404,19 +412,12 @@ class _ShardWorker:
         A non-empty log file means a previous incarnation of this worker
         died; replay it through the recovery path — restoring the shard's
         checkpoint file first when one validates, so only the tail is
-        replayed.  Either way the file is rewritten with the surviving
-        image and attached as the shard's live sink.
+        replayed.  A checkpoint file that did not validate (torn, stale,
+        or without log bytes) never will, so it is dropped.
         """
-        path = self.spec.log_path(shard)
-        ckpt_path = self.spec.ckpt_path(shard)
-        data = b""
-        checkpoint: Optional[bytes] = None
-        if os.path.exists(path):
-            with open(path, "rb") as handle:
-                data = handle.read()
-        if os.path.exists(ckpt_path):
-            with open(ckpt_path, "rb") as handle:
-                checkpoint = handle.read()
+        data = _read_file(self.spec.log_path(shard))
+        checkpoint = _read_file(self.spec.ckpt_path(shard))
+        stale = checkpoint is not None
         if data:
             report = self.store.load_shard_from_bytes(
                 shard, data, checkpoint=checkpoint
@@ -424,31 +425,38 @@ class _ShardWorker:
             self.recovered_shards.append(shard)
             self.recovered_records += report.records_replayed
             self.stats.shard_recoveries += 1
-            if report.checkpoint_invalid and checkpoint is not None:
-                # Torn/stale artifact: the full replay just rewrote the
-                # image, so the file can never validate again — drop it.
-                try:
-                    os.unlink(ckpt_path)
-                except OSError:
-                    pass
-        elif checkpoint is not None:
-            # A checkpoint without log bytes cannot validate; drop it.
+            stale = stale and report.checkpoint_invalid
+        self._publish_log(shard, drop_checkpoint=stale)
+
+    def _publish_log(self, shard: int, drop_checkpoint: bool = False) -> None:
+        """Make the shard's image its log file and mirror appends into it.
+
+        ``os.replace`` publishes a temp file, so a kill at any point
+        leaves the complete old file or the complete new one.  After a
+        rewrite the old checkpoint file can never validate (its prefix
+        CRC hashed the old image), so the caller drops it.
+        """
+        store = self.store.shard(shard)
+        path = self.spec.log_path(shard)
+        with open(path + ".tmp", "wb") as handle:
+            handle.write(store.log_bytes)
+        os.replace(path + ".tmp", path)
+        if drop_checkpoint:
             try:
-                os.unlink(ckpt_path)
+                os.unlink(self.spec.ckpt_path(shard))
             except OSError:
                 pass
-        self._attach_sink(shard)
+        self._close_sink(shard)
+        self._sinks[shard] = sink = open(path, "ab")
+        store.attach_log_sink(sink, already_synced=True)
 
-    def _attach_sink(self, shard: int) -> None:
-        old = self._sinks.pop(shard, None)
-        if old is not None:
-            old.close()
-        sink = open(self.spec.log_path(shard), "wb")
-        self._sinks[shard] = sink
-        self.store.shard(shard).attach_log_sink(sink)
+    def _close_sink(self, shard: int) -> None:
+        sink = self._sinks.pop(shard, None)
+        if sink is not None:
+            sink.close()
 
     # ------------------------------------------------------------------
-    # maintenance (compaction + checkpoints), ticked after each write
+    # maintenance (compaction + checkpoints), ticked after a frame's writes
     # ------------------------------------------------------------------
 
     def _last_gasp_exit(self, code: int) -> None:
@@ -503,61 +511,6 @@ class _ShardWorker:
             handle.write(artifact[half:])
             handle.flush()
 
-    def _on_compaction_commit(self, store) -> None:
-        """Swap the on-disk shard log for the compacted image, atomically.
-
-        The compacted image goes to a temp file first and ``os.replace``
-        publishes it, so a kill at any point leaves either the complete
-        old log or the complete new one — never a mix.  The old checkpoint
-        file can no longer validate (its prefix CRC hashed the old image),
-        so it is dropped; the daemon takes a fresh checkpoint right after.
-        """
-        shard = store.shard_id
-        path = self.spec.log_path(shard)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(store.log_bytes)
-            handle.flush()
-        os.replace(tmp, path)
-        try:
-            os.unlink(self.spec.ckpt_path(shard))
-        except OSError:
-            pass
-        old = self._sinks.pop(shard, None)
-        if old is not None:
-            old.close()
-        sink = open(path, "ab")
-        self._sinks[shard] = sink
-        store.attach_log_sink(sink, already_synced=True)
-
-    def _run_maintenance(self, shard: int) -> None:
-        """One daemon tick after an applied write.
-
-        The write that triggered this tick is already durable in the
-        shard's log file, so an injected maintenance crash never costs an
-        acknowledged write: the shard is recovered in place (checkpoint +
-        tail when the slot validates) and the ack still goes out.
-        """
-        if self.daemon is None:
-            return
-        if shard in self._migrating_out or shard in self._inbound:
-            # Mid-migration the log must stay append-only: compaction
-            # would rewrite it and invalidate the coordinator's delta
-            # marks.  Maintenance resumes once the shard is released
-            # (source), activated (target), or the migration aborts.
-            return
-        try:
-            self.daemon.maybe_run(self.store.shard(shard), shard)
-        except InjectedCrash:
-            self.stats.injected_crashes += 1
-            if self.store.durable:
-                self.store.crash_and_recover(shard)
-                self.stats.shard_recoveries += 1
-                if self.spec.log_dir is not None:
-                    self._attach_sink(shard)
-        except Exception:
-            self.stats.internal_errors += 1
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
@@ -581,35 +534,37 @@ class _ShardWorker:
                 if kind == KIND_CONTROL:
                     if not self._handle_control(req_id, payload):
                         return 0
-                elif kind == KIND_BATCH_KEYS:
-                    reply: Reply = self._apply_key_run(payload)
-                    self._send(req_id, KIND_REQUEST,
-                               encode_reply(reply)[FRAME_OVERHEAD:])
-                elif kind == KIND_MIGRATE:
+                    continue
+                if kind == KIND_MIGRATE:
                     try:
-                        out = self._handle_migration(
+                        answer = self._handle_migration(
                             decode_migration_frame(bytes(payload)))
                     except Exception as error:
                         # A failed phase step must never wedge the link:
                         # answer with an ErrorReply (KIND_REQUEST) that
                         # WorkerHandle.migrate surfaces as MigrationError.
-                        self.stats.internal_errors += 1
-                        body = encode_reply(
-                            ErrorReply(ErrorCode.INTERNAL, str(error))
-                        )[FRAME_OVERHEAD:]
-                        self._send(req_id, KIND_REQUEST, body)
+                        self._send_reply(req_id, self.executor.internal(error))
                     else:
-                        self._send(req_id, KIND_MIGRATE, out)
+                        self._send(req_id, KIND_MIGRATE, answer)
+                elif kind == KIND_BATCH_KEYS:
+                    self._send_reply(req_id, self._apply_key_run(payload))
                 else:
-                    reply = self._apply(decode_request(payload))
-                    self._send(req_id, KIND_REQUEST,
-                               encode_reply(reply)[FRAME_OVERHEAD:])
+                    self._send_reply(req_id, self._apply(decode_request(payload)))
             finally:
                 # releases a zero-copy BATCH_KEYS slot; no-op otherwise
                 self._channel.done()
 
     def _send(self, req_id: int, kind: int, payload: bytes) -> None:
-        self._channel.send(req_id, kind, payload)
+        """Push one answer; one too large for the response ring is
+        answered TOO_LARGE instead (per op of a run, or a failed
+        migration phase the coordinator aborts)."""
+        try:
+            self._channel.send(req_id, kind, payload)
+        except RingFrameTooLarge as error:
+            self._send_reply(req_id, ErrorReply(ErrorCode.TOO_LARGE, str(error)))
+
+    def _send_reply(self, req_id: int, reply: Reply) -> None:
+        self._send(req_id, KIND_REQUEST, encode_reply(reply)[FRAME_OVERHEAD:])
 
     def _send_event(self, payload: dict, block: bool = True) -> None:
         self._channel.send(EVENT_ID, KIND_CONTROL,
@@ -622,7 +577,7 @@ class _ShardWorker:
         if cmd == "stats":
             answer = {
                 "counters": self.stats.snapshot(),
-                "store": self.store.stats_snapshot(),
+                "store": self.store.gauge_rows(),
                 "faults": (self.faults.fired_counts()
                            if self.faults is not None else {}),
             }
@@ -718,9 +673,7 @@ class _ShardWorker:
     def _migrate_release(self, shard: int, payload: bytes) -> bytes:
         """Post-commit: drop the shard (the target owns it now)."""
         self._migrating_out.discard(shard)
-        sink = self._sinks.pop(shard, None)
-        if sink is not None:
-            sink.close()
+        self._close_sink(shard)
         self.store.release_shard(shard)
         return b""
 
@@ -766,34 +719,12 @@ class _ShardWorker:
         return b""
 
     def _migrate_activate(self, shard: int, payload: bytes) -> bytes:
-        """Post-commit: take over the shard's durable file and sink.
-
-        The file swap goes through a temp file + ``os.replace`` (same
-        torn-write model as compaction commit) so a kill mid-activate
-        leaves either the source's complete image or the target's —
-        never a mix.  The source's stale checkpoint file can no longer
-        validate against the rewritten image, so it is dropped.
-        """
+        """Post-commit: take over the shard's durable file and sink.  The
+        file swap is atomic (:meth:`_publish_log`), so a kill mid-activate
+        leaves either the source's complete image or the target's."""
         self._inbound.pop(shard, None)
-        if not (self.spec.durable and self.spec.log_dir is not None):
-            return b""
-        target = self.store.shard(shard)
-        path = self.spec.log_path(shard)
-        tmp = path + ".mig"
-        with open(tmp, "wb") as handle:
-            handle.write(target.log_bytes)
-            handle.flush()
-        os.replace(tmp, path)
-        try:
-            os.unlink(self.spec.ckpt_path(shard))
-        except OSError:
-            pass
-        old = self._sinks.pop(shard, None)
-        if old is not None:
-            old.close()
-        sink = open(path, "ab")
-        self._sinks[shard] = sink
-        target.attach_log_sink(sink, already_synced=True)
+        if self._on_disk:
+            self._publish_log(shard, drop_checkpoint=True)
         return b""
 
     def _migrate_abort(self, shard: int, payload: bytes) -> bytes:
@@ -803,9 +734,7 @@ class _ShardWorker:
         if (entry is not None and shard in self.store.owned
                 and shard not in self.spec.shards
                 and shard not in self.spec.replica_shards):
-            sink = self._sinks.pop(shard, None)
-            if sink is not None:
-                sink.close()
+            self._close_sink(shard)
             self.store.release_shard(shard)
         return b""
 
@@ -835,11 +764,30 @@ class _ShardWorker:
     # ------------------------------------------------------------------
 
     def _apply(self, request: Request) -> Reply:
-        if isinstance(request, BatchRequest):
-            return BatchReply(tuple(
-                self._apply_simple(op) for op in request.ops
-            ))
-        return self._apply_simple(request)
+        """Apply one forwarded frame — a scalar op, or a batch run of the
+        ops this worker owns — in order, then tick maintenance once for
+        each shard the frame wrote."""
+        batch = isinstance(request, BatchRequest)
+        ops = request.ops if batch else (request,)
+        replies: List[SimpleReply] = []
+        for op in ops:
+            if isinstance(op, GetRequest):
+                replies.append(self.executor.get(op.key))
+            elif isinstance(op, (PutRequest, DeleteRequest)):
+                replies.append(self._apply_write(op))
+            else:
+                replies.append(ErrorReply(
+                    ErrorCode.BAD_REQUEST,
+                    f"worker cannot serve {type(op).__name__}",
+                ))
+        for shard in dict.fromkeys(
+                self.store.shard_index(op.key) for op in ops
+                if isinstance(op, (PutRequest, DeleteRequest))):
+            # not mid-migration: compaction would rewrite the log and
+            # invalidate the coordinator's delta marks
+            if shard not in self._migrating_out and shard not in self._inbound:
+                self.executor.maintain(shard)
+        return BatchReply(tuple(replies)) if batch else replies[0]
 
     def _apply_key_run(self, payload) -> Reply:
         """Serve an all-GET run shipped as a raw u64 key array.
@@ -850,79 +798,26 @@ class _ShardWorker:
         payload is unpacked into ints.  Replies are per-op, exactly as if
         the run had arrived as a BATCH of GETs.
         """
-        count = decode_key_run_header(payload)
-        try:
-            np = numpy_or_none()
-            if np is not None:
-                keys = np.frombuffer(
-                    payload, dtype="<u8", count=count, offset=KEY_RUN_COUNT.size
-                )
-            else:
-                keys = decode_key_run(payload)
-            values = self.store.get_many(keys)
-        except Exception as error:
-            self.stats.internal_errors += 1
-            return BatchReply(tuple(
-                ErrorReply(ErrorCode.INTERNAL, str(error))
-                for _ in range(count)
-            ))
-        replies: List[SimpleReply] = []
-        for value in values:
-            hit = value is not None
-            self.stats.note_get(hit)
-            replies.append(
-                ValueReply(found=True, value=bytes(value)) if hit
-                else ValueReply(found=False)
+        np = numpy_or_none()
+        if np is not None:
+            keys = np.frombuffer(
+                payload, dtype="<u8", count=decode_key_run_header(payload),
+                offset=KEY_RUN_COUNT.size,
             )
-        return BatchReply(tuple(replies))
-
-    def _apply_simple(self, request) -> SimpleReply:
-        try:
-            if isinstance(request, GetRequest):
-                value = self.store.get(request.key)
-                self.stats.note_get(hit=value is not None)
-                if value is None:
-                    return ValueReply(found=False)
-                return ValueReply(found=True, value=bytes(value))
-            if isinstance(request, (PutRequest, DeleteRequest)):
-                return self._apply_write(request)
-            return ErrorReply(
-                ErrorCode.BAD_REQUEST,
-                f"worker cannot serve {type(request).__name__}",
-            )
-        except Exception as error:
-            self.stats.internal_errors += 1
-            return ErrorReply(ErrorCode.INTERNAL, str(error))
+        else:
+            keys = decode_key_run(payload)
+        return BatchReply(tuple(self.executor.get_run(keys)))
 
     def _apply_write(self, request) -> SimpleReply:
         shard = self.store.shard_index(request.key)
-        if self.faults is not None:
-            delay = self.faults.writer_delay(shard)
-            if delay:
-                time.sleep(delay)
-        if self.spec.write_stall:
-            time.sleep(self.spec.write_stall)
-        try:
-            if isinstance(request, PutRequest):
-                result = self.store.put(request.key, request.value)
-                self.stats.note_put(result.created, kicks=result.kicks,
-                                    stashed=result.stashed)
-                reply: SimpleReply = PutReply(created=result.created)
-            else:
-                deleted = self.store.delete(request.key)
-                self.stats.note_delete(deleted)
-                reply = DeleteReply(deleted=deleted)
-        except InjectedCrash as error:
-            # In-process shard crash: rebuild from the durable image and
-            # answer INTERNAL (the write is NOT acknowledged), exactly as
-            # the single-process writer loop does.
-            self.stats.injected_crashes += 1
-            if self.store.durable:
-                self.store.crash_and_recover(shard)
-                self.stats.shard_recoveries += 1
-                if self.spec.log_dir is not None:
-                    self._attach_sink(shard)
-            return ErrorReply(ErrorCode.INTERNAL, str(error))
+        delay = self.executor.writer_delay(shard)
+        if delay:
+            time.sleep(delay)
+        if self.config.write_stall:
+            time.sleep(self.config.write_stall)
+        reply = self.executor.write(request)
+        if isinstance(reply, ErrorReply):
+            return reply  # no ack for kill_worker to withhold
         if self.faults is not None and self.faults.should_kill_worker(
                 self.spec.worker_id):
             # kill_worker: the write IS applied and persisted, but the
@@ -930,7 +825,6 @@ class _ShardWorker:
             # UNAVAILABLE (outcome unknown).  The last-gasp event keeps
             # fired/counter accounting observable without acking the op.
             self._last_gasp_exit(23)
-        self._run_maintenance(shard)
         return reply
 
 
@@ -1214,7 +1108,6 @@ class WorkerPool:
         n_workers: int,
         stats: ServeStats,
         log_dir: str,
-        ring_bytes: int = DEFAULT_RING_BYTES,
         routing: Optional[RoutingTable] = None,
     ) -> None:
         self.config = config
@@ -1222,7 +1115,6 @@ class WorkerPool:
         self.stats = stats
         self.log_dir = log_dir
         self.routing = routing
-        self._ring_bytes = ring_bytes
         self._transports: List[Optional[ShmTransport]] = [None] * n_workers
         self._epochs = [1] * n_workers
         self._handles: List[Optional[WorkerHandle]] = [None] * n_workers
@@ -1239,7 +1131,7 @@ class WorkerPool:
     def _transport_for(self, worker_id: int) -> ShmTransport:
         pair = self._transports[worker_id]
         if pair is None:
-            pair = ShmTransport.create(self._ring_bytes)
+            pair = ShmTransport.create(self.config.shm_ring_bytes)
             pair.set_epoch(self._epochs[worker_id])
             self._transports[worker_id] = pair
         return pair
@@ -1271,22 +1163,18 @@ class WorkerPool:
         return WorkerSpec(
             worker_id=worker_id,
             n_workers=self.n_workers,
-            n_shards=self.config.n_shards,
-            expected_items=self.config.expected_items,
-            seed=self.config.seed,
-            durable=self.config.durable or plan is not None,
-            write_stall=self.config.write_stall,
+            config=dataclasses.replace(
+                self.config, fault_plan=None,
+                durable=self.config.durable or plan is not None,
+            ),
             fault_spec=plan.spec() if plan is not None else None,
             fault_seed=plan.seed if plan is not None else 0,
             armed=self._armed,
             log_dir=self.log_dir,
-            maintenance=self.config.maintenance,
             epoch=self._epochs[worker_id],
             owned_shards=(self.routing.shards_of_worker(worker_id)
                           if self.routing is not None else None),
             replica_shards=self._replica_shards(worker_id),
-            kick_policy=self.config.kick_policy,
-            engine=self.config.engine,
         )
 
     def _make_handle(self, worker_id: int) -> WorkerHandle:
@@ -1438,40 +1326,17 @@ class WorkerPool:
             except (WorkerDiedError, ProtocolError):
                 pass
 
-    async def collect_stats(self) -> List[Optional[dict]]:
-        """Each worker's stats (absorbed + live), None when mid-restart."""
-        out: List[Optional[dict]] = []
-        for worker_id, handle in self.live_handles():
-            absorbed = self._absorbed[worker_id]
-            if handle is None:
-                merged: Optional[dict] = (
-                    {"counters": dict(absorbed["counters"]),
-                     "faults": dict(absorbed["faults"]), "store": {}}
-                    if absorbed["counters"] or absorbed["faults"] else None
-                )
-                out.append(merged)
-                continue
-            try:
-                answer = await handle.control({"cmd": "stats"})
-            except (WorkerDiedError, ProtocolError):
-                out.append(None)
-                continue
-            for section in ("counters", "faults"):
-                for name, value in absorbed[section].items():
-                    answer[section][name] = (
-                        answer[section].get(name, 0) + value
-                    )
-            out.append(answer)
-        return out
-
-    def fired_counts(self) -> Dict[str, int]:
-        """Best-effort pool fired totals from absorbed dying events only;
-        live workers' counts are merged at STATS time."""
-        totals: Dict[str, int] = {}
-        for absorbed in self._absorbed:
-            for name, value in absorbed["faults"].items():
-                totals[name] = totals.get(name, 0) + int(value)
-        return totals
+    async def collect_stats(self) -> List[dict]:
+        """Every live worker's report, plus the counters and fired faults
+        absorbed from dead incarnations' last gasps."""
+        reports = list(self._absorbed)
+        for _, handle in self.live_handles():
+            if handle is not None:
+                try:
+                    reports.append(await handle.control({"cmd": "stats"}))
+                except (WorkerDiedError, ProtocolError):
+                    pass
+        return reports
 
 
 class _BatchWaiter:
@@ -1576,7 +1441,6 @@ class WorkerServer(McCuckooServer):
         self._log_dir = tempfile.mkdtemp(prefix="mccuckoo-worker-logs-")
         self._pool = WorkerPool(self.config, self.n_workers, self.stats,
                                 self._log_dir,
-                                ring_bytes=self.config.shm_ring_bytes,
                                 routing=self._routing)
         await self._pool.start()
 
@@ -1593,8 +1457,7 @@ class WorkerServer(McCuckooServer):
         await self.pool.barrier()
 
     async def disarm_faults(self) -> None:
-        if self._faults is not None:
-            self._faults.disarm()
+        await super().disarm_faults()
         if self._pool is not None:
             await self._pool.broadcast_disarm()
 
@@ -1722,27 +1585,8 @@ class WorkerServer(McCuckooServer):
             f"worker {worker_id} request ring is full",
         )
 
-    async def _handle_request(self, request: Request) -> Reply:
-        if isinstance(request, StatsRequest):
-            self.stats.stats_calls += 1
-            return StatsReply(await self._merged_stats())
-        if isinstance(request, BatchRequest):
-            if len(request.ops) > self.config.max_batch_ops:
-                return ErrorReply(
-                    ErrorCode.TOO_LARGE,
-                    f"batch of {len(request.ops)} ops exceeds "
-                    f"{self.config.max_batch_ops}",
-                )
-            self.stats.batches += 1
-            self.stats.batch_ops += len(request.ops)
-            return await self._handle_batch(request)
-        if isinstance(request, (PutRequest, DeleteRequest)):
-            injected = self._injected_busy()
-            if injected is not None:
-                return injected
-        return await self._forward(request)
-
-    async def _forward(self, request) -> Reply:
+    async def _handle_op(self, request) -> Reply:
+        """Forward one GET, PUT or DELETE to the shard's worker."""
         shard = self._router.shard_of(request.key)
         is_write = isinstance(request, (PutRequest, DeleteRequest))
         if is_write and shard in self._fences:
@@ -1815,8 +1659,7 @@ class WorkerServer(McCuckooServer):
                 # so flush the shared runs early and wait for OUR ops
                 self._flush_runs()
                 await waiter.wait()
-                self.stats.stats_calls += 1
-                replies[index] = StatsReply(await self._merged_stats())
+                replies[index] = await self._handle_request(op)
                 continue
             if isinstance(op, (PutRequest, DeleteRequest)):
                 # migration fence: park the write until the routing flip,
@@ -1929,6 +1772,9 @@ class WorkerServer(McCuckooServer):
         try:
             _kind, payload = future.result()
             batch = decode_reply(payload)
+            if isinstance(batch, ErrorReply):
+                # the run's answer could not fit the response ring
+                batch = BatchReply((batch,) * len(admitted))
             if (not isinstance(batch, BatchReply)
                     or len(batch.replies) != len(admitted)):
                 raise ProtocolError(
@@ -1955,8 +1801,8 @@ class WorkerServer(McCuckooServer):
     # merged stats
     # ------------------------------------------------------------------
 
-    async def _merged_stats(self) -> Dict[str, float]:
-        per_worker = await self.pool.collect_stats()
+    async def _stats_snapshot(self) -> Dict[str, float]:
+        reports = await self.pool.collect_stats()
         gauges: Dict[str, float] = {
             "connections_active": self._connections,
             "ring_stale_discarded": self.pool.ring_stale_discarded(),
@@ -1991,81 +1837,25 @@ class WorkerServer(McCuckooServer):
             gauges[f"worker{worker_id}_restarts"] = (
                 self.pool.restart_counts[worker_id]
             )
-        gauges.update(self._merge_store_gauges(per_worker))
+        gauges.update(merge_gauge_rows([
+            row for report in reports for row in report.get("store", ())
+        ]))
         fired: Dict[str, float] = {}
         if self._faults is not None:
             fired.update(self._faults.fired_counts())
-        for answer in per_worker:
-            if answer is None:
-                continue
-            for name, value in answer.get("faults", {}).items():
+        for report in reports:
+            for name, value in report["faults"].items():
                 fired[name] = fired.get(name, 0) + value
         gauges.update({f"fault_{name}": count
                        for name, count in fired.items()})
         self.stats.gauges = gauges
         snapshot = self.stats.snapshot()
-        for answer in per_worker:
-            if answer is None:
-                continue
-            counters = answer.get("counters", {})
+        for report in reports:
+            counters = report["counters"]
             for name in _MERGED_COUNTERS:
                 if name in counters:
                     snapshot[name] = snapshot.get(name, 0) + counters[name]
         return snapshot
-
-    @staticmethod
-    def _merge_store_gauges(
-        per_worker: List[Optional[dict]],
-    ) -> Dict[str, float]:
-        """Pool-wide store view: sums for sizes, capacity-weighted mean
-        for load, worst-worker imbalance (an approximation — per-shard
-        loads stay inside the workers)."""
-        items = records = capacity = stash = 0
-        log_bytes = dead_bytes = compactions = checkpoints = 0
-        checkpoint_age = -1.0
-        weighted_load = 0.0
-        max_load = 0.0
-        for answer in per_worker:
-            if answer is None:
-                continue
-            store = answer.get("store") or {}
-            if not store:
-                continue
-            items += store.get("store_items", 0)
-            records += store.get("store_log_records", 0)
-            log_bytes += store.get("store_log_bytes", 0)
-            dead_bytes += store.get("store_dead_bytes", 0)
-            compactions += store.get("store_compactions", 0)
-            checkpoints += store.get("store_checkpoints", 0)
-            checkpoint_age = max(
-                checkpoint_age, store.get("store_last_checkpoint_age_s", -1.0)
-            )
-            shard_capacity = store.get("index_capacity", 0)
-            capacity += shard_capacity
-            stash += store.get("index_stash_population", 0)
-            load = store.get("index_load_ratio", 0.0)
-            weighted_load += load * shard_capacity
-            max_load = max(max_load,
-                           load * store.get("index_imbalance", 1.0))
-        mean_load = weighted_load / capacity if capacity else 0.0
-        return {
-            "store_items": items,
-            "store_log_records": records,
-            "store_garbage_ratio": round(
-                1.0 - items / records if records else 0.0, 6
-            ),
-            "store_log_bytes": log_bytes,
-            "store_dead_bytes": dead_bytes,
-            "store_compactions": compactions,
-            "store_checkpoints": checkpoints,
-            "store_last_checkpoint_age_s": round(checkpoint_age, 6),
-            "index_capacity": capacity,
-            "index_load_ratio": round(mean_load, 6),
-            "index_imbalance": round(
-                max_load / mean_load if mean_load else 1.0, 6
-            ),
-            "index_stash_population": stash,
-        }
 
 
 __all__ = [

@@ -123,6 +123,30 @@ class TestBasicMigration:
                     await server.reshard(0, 99)
         run(scenario())
 
+    def test_snapshot_too_large_for_the_ring_aborts_cleanly(self):
+        # shard 0's snapshot outgrows half an 8 KiB response ring: the
+        # source must answer the phase with an error, not die, so the
+        # migration aborts with no restart and no data lost
+        async def scenario():
+            async with WorkerServer(config(shm_ring_bytes=8192),
+                                    n_workers=2) as server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    expected = {}
+                    for key in range(1, 301):
+                        value = b"%064d" % key
+                        assert await client.put(key, value) is True
+                        expected[key] = value
+                    report = await server.reshard(0, 1)
+                    assert not report.committed
+                    assert "cannot fit" in report.error, report.error
+                    assert server.routing.worker_of_shard(0) == 0
+                    await audit(client, expected)
+                    stats = await client.stats()
+                    assert stats["worker_restarts"] == 0
+                    assert stats["migrations_aborted"] == 1
+        run(scenario())
+
     def test_migrated_shard_survives_target_restart(self):
         """Post-commit the target owns the shard durably: kill it after
         the migration and the supervisor's restart must re-own and

@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.serve import (
     McCuckooClient,
     McCuckooServer,
@@ -25,7 +26,7 @@ from repro.serve import (
     WorkerServer,
 )
 from repro.serve.faultgen import FaultgenConfig, run_faultgen
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ErrorCode, ErrorReply, ProtocolError
 from repro.serve.shm import (
     SLOT_OVERHEAD,
     RingFrameTooLarge,
@@ -277,6 +278,57 @@ class TestTransportEquivalence:
 
         assert run(drive(2)) == run(drive(0))
 
+    def test_same_puts_same_store_gauges_on_both_transports(self):
+        # the frontend merges the workers' per-shard gauge rows with the
+        # same function the single-process store uses, so every store
+        # and index gauge but the checkpoint age must agree
+        seed = derive(905)
+
+        async def drive(n_workers):
+            async with _server(n_workers, seed=seed) as server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    for start in range(0, 700, 35):
+                        await client.batch([
+                            ("put", key, b"g%d" % key)
+                            for key in range(start, start + 35)
+                        ])
+                    stats = await client.stats()
+            return {name: value for name, value in stats.items()
+                    if name.startswith(("store_", "index_"))
+                    and name != "store_last_checkpoint_age_s"}
+
+        ring, local = run(drive(2)), run(drive(0))
+        assert ring == local
+        assert local["store_items"] == 700 and local["index_imbalance"] > 1.0
+
+    def test_injected_crash_accounted_alike_on_both_transports(self):
+        seed = derive(906)
+        chunks = _seeded_ops(seed, n_ops=320, n_keys=64)
+
+        async def drive(n_workers):
+            plan = FaultPlan.parse("crash_after_appends=37", seed=seed)
+            server = _server(n_workers, seed=seed, n_shards=1,
+                             fault_plan=plan)
+            observed = []
+            async with server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    for chunk in chunks:
+                        for reply in await client.batch(chunk):
+                            observed.append(_normalize(reply))
+                    stats = await client.stats()
+            return observed, {name: stats.get(name) for name in
+                              ("injected_crashes", "shard_recoveries",
+                               "internal_errors")}
+
+        ring_replies, ring_counters = run(drive(1))
+        local_replies, local_counters = run(drive(0))
+        assert ring_replies == local_replies
+        assert ring_counters == local_counters
+        assert local_counters["injected_crashes"] == 1
+        assert local_counters["internal_errors"] == 1
+
 
 class TestRingBackpressure:
     def test_ring_full_surfaces_as_busy(self):
@@ -330,6 +382,30 @@ class TestRingBackpressure:
                     # the transport survives the rejection
                     assert await client.put(2, b"small") is True
                     assert await client.get(2) == b"small"
+
+        run(scenario())
+
+    def test_reply_too_large_for_the_ring_answers_too_large(self):
+        # four 20 KB values fit the 64 KiB ring one by one, but a GET run
+        # of all four cannot come back through it: each op must answer
+        # TOO_LARGE, and the worker must survive with its data
+        async def scenario():
+            server = WorkerServer(config(n_shards=1, shm_ring_bytes=1 << 16),
+                                  n_workers=1)
+            async with server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    values = {key: bytes([65 + key]) * 20_000
+                              for key in range(4)}
+                    for key, value in values.items():
+                        assert await client.put(key, value) is True
+                    replies = await client.batch(
+                        [("get", key) for key in values])
+                    assert [(type(reply), reply.code) for reply in replies] \
+                        == [(ErrorReply, ErrorCode.TOO_LARGE)] * 4
+                    for key, value in values.items():
+                        assert await client.get(key) == value
+                    assert (await client.stats())["worker_restarts"] == 0
 
         run(scenario())
 
