@@ -524,13 +524,93 @@ def load_report(path: str) -> Dict[str, Any]:
         return json.load(handle)
 
 
+def _cells(rows: List[Dict[str, Any]], backend: str) -> Dict[Tuple, float]:
+    return {
+        (row["phase"], row["load"], row["batch"]): row["ops_per_sec"]
+        for row in rows
+        if row.get("backend", "python") == backend
+    }
+
+
+def _anchor_of(
+    cell: Tuple,
+    current: Dict[Tuple, float],
+    reference: Dict[Tuple, float],
+    scalars: Optional[Tuple[Dict[Tuple, float], Dict[Tuple, float]]],
+) -> Optional[Tuple[Tuple, float, float]]:
+    """The scalar row ``cell`` is read against, and its ops/s in both
+    runs: the same phase and load for a batched cell, else the
+    highest-load scalar row of the same phase in ``scalars``."""
+    phase, load, batch = cell
+    if batch > 1:
+        key = (phase, load, 1)
+    elif scalars is not None:
+        current, reference = scalars
+        loads = [key[1] for key in current
+                 if key[0] == phase and key[2] == 1 and key in reference]
+        if not loads:
+            return None
+        key = (phase, max(loads), 1)
+    else:
+        return None
+    if key not in current or key not in reference:
+        return None
+    return key, current[key], reference[key]
+
+
+def _gate(
+    current: Dict[Tuple, float],
+    reference: Dict[Tuple, float],
+    cells: List[Tuple],
+    floor: float,
+    label: str,
+    scalars: Optional[Tuple[Dict[Tuple, float], Dict[Tuple, float]]] = None,
+) -> Tuple[bool, str]:
+    """(ok, message) over ``cells``, present in both runs.
+
+    A cell fails only when two readings agree: its ops/s against the
+    baseline, and its ops/s relative to a scalar row of the same run
+    (:func:`_anchor_of`) against the baseline's.  For a batched cell the
+    second reading is its speedup over scalar.  The first alone misreads
+    a slower or busier machine than the baseline's as a regression, the
+    second alone misreads a scalar row that ran slow; a kernel that got
+    slower moves both.  The message names every failing cell, or else
+    the cell nearest its floor."""
+    failed: List[str] = []
+    nearest: Optional[Tuple[float, str]] = None
+    for cell in cells:
+        phase, load, batch = cell
+        ratio = current[cell] / reference[cell]
+        text = (f"{label}{phase}@load{load}/bs{batch}: "
+                f"{current[cell]:,.0f} ops/s vs baseline "
+                f"{reference[cell]:,.0f} ({ratio:.2f}x")
+        reading = ratio
+        anchor = _anchor_of(cell, current, reference, scalars)
+        if anchor is not None:
+            key, now, then = anchor
+            relative = ratio * then / now
+            reading = max(ratio, relative)
+            text += (f"; against this run's {key[0]}@load{key[1]} scalar "
+                     f"row {relative:.2f}x")
+        text += f", floor {floor:.2f}x)"
+        if reading < floor:
+            failed.append(text)
+        elif nearest is None or reading < nearest[0]:
+            nearest = (reading, text)
+    if failed:
+        return False, "; ".join(failed)
+    assert nearest is not None
+    return True, nearest[1]
+
+
 def compare_to_baseline(
     report: Dict[str, Any],
     baseline: Dict[str, Any],
     max_regression: float = 0.30,
     backend: str = "python",
 ) -> Tuple[bool, str]:
-    """(ok, message) regression verdict for one backend's batched rows.
+    """(ok, message) regression verdict for one backend's batched rows,
+    each gated by :func:`_gate`'s two readings.
 
     Only compares scale-matched runs: a baseline produced with a different
     workload shape (buckets, d, query counts, loads, batches) says nothing
@@ -544,31 +624,14 @@ def compare_to_baseline(
     baseline_shape = {key: baseline["config"].get(key) for key in shape_keys}
     if current_shape != baseline_shape:
         return True, f"baseline shape differs ({baseline_shape}); skipped"
-
-    def cells(document: Dict[str, Any]) -> Dict[Tuple, float]:
-        return {
-            (row["phase"], row["load"], row["batch"]): row["ops_per_sec"]
-            for row in document["rows"]
-            if row.get("backend", "python") == backend and row["batch"] > 1
-        }
-
-    current = cells(report)
-    reference = cells(baseline)
-    shared = sorted(set(current) & set(reference))
+    current = _cells(report["rows"], backend)
+    reference = _cells(baseline["rows"], backend)
+    shared = sorted(cell for cell in set(current) & set(reference)
+                    if cell[2] > 1)
     if not shared:
         return True, f"no shared {backend}-backend cells; skipped"
-    worst: Optional[Tuple[Tuple, float, float]] = None
-    for cell in shared:
-        ratio = current[cell] / reference[cell]
-        if worst is None or ratio < worst[1]:
-            worst = (cell, ratio, reference[cell])
-    assert worst is not None
-    cell, ratio, then = worst
-    floor = 1.0 - max_regression
-    message = (f"{backend} {cell[0]}@load{cell[1]}/bs{cell[2]}: "
-               f"{current[cell]:,.0f} ops/s vs baseline {then:,.0f} "
-               f"({ratio:.2f}x, floor {floor:.2f}x)")
-    return ratio >= floor, message
+    return _gate(current, reference, shared, 1.0 - max_regression,
+                 f"{backend} ")
 
 
 def compare_highload_to_baseline(
@@ -581,8 +644,9 @@ def compare_highload_to_baseline(
 
     Two assertions: every baseline (phase, load, batch) frontier cell must
     still exist — the frontier cannot silently recede to lower loads — and
-    throughput per shared cell must stay within ``max_regression`` of the
-    committed number.  Shape-mismatched baselines are skipped like
+    each shared cell must hold its throughput floor under :func:`_gate`;
+    a scalar frontier cell is read against the main table's scalar row.
+    Shape-mismatched baselines are skipped like
     :func:`compare_to_baseline`; baselines predating the section pass."""
     if not baseline.get("highload_rows"):
         return True, "baseline has no high-load section; skipped"
@@ -592,34 +656,18 @@ def compare_highload_to_baseline(
     baseline_shape = {key: baseline["config"].get(key) for key in shape_keys}
     if current_shape != baseline_shape:
         return True, f"high-load shape differs ({baseline_shape}); skipped"
-
-    def cells(document: Dict[str, Any]) -> Dict[Tuple, float]:
-        return {
-            (row["phase"], row["load"], row["batch"]): row["ops_per_sec"]
-            for row in document.get("highload_rows", [])
-            if row.get("backend", "python") == backend
-        }
-
-    current = cells(report)
-    reference = cells(baseline)
+    current = _cells(report.get("highload_rows", []), backend)
+    reference = _cells(baseline["highload_rows"], backend)
     if not reference:
         return True, f"no {backend}-backend high-load baseline cells; skipped"
     missing = sorted(set(reference) - set(current))
     if missing:
         return False, (f"high-load frontier receded: baseline cells "
                        f"{missing} absent from this run")
-    worst: Optional[Tuple[Tuple, float, float]] = None
-    for cell in sorted(reference):
-        ratio = current[cell] / reference[cell]
-        if worst is None or ratio < worst[1]:
-            worst = (cell, ratio, reference[cell])
-    assert worst is not None
-    cell, ratio, then = worst
-    floor = 1.0 - max_regression
-    message = (f"{backend} highload {cell[0]}@load{cell[1]}/bs{cell[2]}: "
-               f"{current[cell]:,.0f} ops/s vs baseline {then:,.0f} "
-               f"({ratio:.2f}x, floor {floor:.2f}x)")
-    return ratio >= floor, message
+    scalars = (_cells(report["rows"], backend),
+               _cells(baseline["rows"], backend))
+    return _gate(current, reference, sorted(reference), 1.0 - max_regression,
+                 f"{backend} highload ", scalars)
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:

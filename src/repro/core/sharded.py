@@ -41,6 +41,9 @@ class ShardRouter:
             raise ConfigurationError("n_shards must be positive")
         self.n_shards = n_shards
         self._salt = splitmix64(seed ^ 0x5AAD)
+        # (salt, n_shards) as NumPy scalars, built on the first array
+        # call instead of on every one
+        self._array_constants: Optional[Tuple[Any, Any]] = None
 
     def shard_of(self, key: Key) -> int:
         """Which shard owns the canonical ``key``."""
@@ -76,8 +79,11 @@ class ShardRouter:
         path's ``& MASK64``).
         """
         np = numpy_or_none()
-        digests = splitmix64_array(keys_u64 ^ np.uint64(self._salt))
-        return (digests % np.uint64(self.n_shards)).astype(np.int64)
+        if self._array_constants is None:
+            self._array_constants = (
+                np.uint64(self._salt), np.uint64(self.n_shards))
+        salt, n_shards = self._array_constants
+        return (splitmix64_array(keys_u64 ^ salt) % n_shards).astype(np.int64)
 
     def worker_of(self, key: Key, n_workers: int) -> int:
         """Which of ``n_workers`` worker processes owns ``key``.

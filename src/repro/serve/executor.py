@@ -16,10 +16,13 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 from ..faults import InjectedCrash
 from ..maintenance import MaintenanceDaemon
 from .protocol import (
-    DeleteReply,
+    DELETED,
+    NOT_DELETED,
+    NOT_FOUND,
+    PUT_CREATED,
+    PUT_UPDATED,
     ErrorCode,
     ErrorReply,
-    PutReply,
     PutRequest,
     SimpleReply,
     SimpleRequest,
@@ -97,10 +100,10 @@ class ShardExecutor:
                 self.stats.note_put(
                     result.created, kicks=result.kicks, stashed=result.stashed
                 )
-                return PutReply(created=result.created)
+                return PUT_CREATED if result.created else PUT_UPDATED
             deleted = self.store.delete(request.key)
             self.stats.note_delete(deleted)
-            return DeleteReply(deleted=deleted)
+            return DELETED if deleted else NOT_DELETED
         except InjectedCrash as error:
             self.stats.injected_crashes += 1
             self._recover(self.store.shard_index(request.key))
@@ -129,8 +132,8 @@ class ShardExecutor:
     def _value_reply(self, value: Optional[Any]) -> SimpleReply:
         self.stats.note_get(hit=value is not None)
         if value is None:
-            return ValueReply(found=False)
-        return ValueReply(found=True, value=bytes(value))
+            return NOT_FOUND
+        return ValueReply(True, bytes(value))
 
     def internal(self, error: Exception) -> ErrorReply:
         """Count and answer an op that failed inside the server."""

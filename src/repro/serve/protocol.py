@@ -27,7 +27,12 @@ ERROR      rep   code ``u8``, ``u16`` length + UTF-8 message
 =========  ====  =======================================================
 
 Encode/decode are pure functions over ``bytes`` — unit-testable without a
-socket.  The two tiny stream helpers (:func:`read_frame`,
+socket — that make one pass per frame: precompiled structs pack or
+unpack each op's fixed part in one call, and decoding walks the body at
+an integer offset with a bounds check before every read.
+:func:`encode_request_body`/:func:`encode_reply_body` give a body without
+the length/CRC prefix, for transports that checksum on their own (the
+worker rings).  The two tiny stream helpers (:func:`read_frame`,
 :func:`write_frame`) are the only asyncio-aware code here.
 """
 
@@ -39,7 +44,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..core.errors import ReproError
 
@@ -49,15 +54,10 @@ VERSION = 1
 #: default cap on one frame body; protects both peers from unbounded buffering
 MAX_FRAME_BYTES = 1 << 20
 
-_LEN = struct.Struct(">I")
-_CRC = struct.Struct(">I")
+#: frame prefix: body length, crc32(body)
+_PREFIX = struct.Struct(">II")
 #: bytes before the body: length prefix + body checksum
-FRAME_OVERHEAD = _LEN.size + _CRC.size
-_HEADER = struct.Struct(">BBB")
-_U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
-_U16 = struct.Struct(">H")
-_U8 = struct.Struct(">B")
+FRAME_OVERHEAD = _PREFIX.size
 
 
 class Opcode(IntEnum):
@@ -167,216 +167,299 @@ Reply = Union[SimpleReply, BatchReply]
 
 
 # ----------------------------------------------------------------------
+# shared replies
+# ----------------------------------------------------------------------
+
+#: the value-less replies, built once: the decoder answers these for
+#: every PUT_OK, DELETE_OK and VALUE-not-found it reads, and the shard
+#: executor (:mod:`repro.serve.executor`) for every such op it applies.
+#: Frozen, so sharing them is safe.
+NOT_FOUND = ValueReply(False)
+PUT_CREATED = PutReply(True)
+PUT_UPDATED = PutReply(False)
+DELETED = DeleteReply(True)
+NOT_DELETED = DeleteReply(False)
+
+
+# ----------------------------------------------------------------------
 # encoding
 # ----------------------------------------------------------------------
 
+_GET, _PUT, _DELETE, _BATCH, _STATS = (
+    int(op) for op in (Opcode.GET, Opcode.PUT, Opcode.DELETE, Opcode.BATCH,
+                       Opcode.STATS))
+_VALUE, _PUT_OK, _DELETE_OK, _STATS_OK, _BATCH_OK, _ERROR = (
+    int(op) for op in (Opcode.VALUE, Opcode.PUT_OK, Opcode.DELETE_OK,
+                       Opcode.STATS_OK, Opcode.BATCH_OK, Opcode.ERROR))
 
-def _encode_request_body(request: SimpleRequest) -> bytes:
-    if isinstance(request, GetRequest):
-        return _U8.pack(Opcode.GET) + _U64.pack(request.key)
-    if isinstance(request, PutRequest):
-        return (
-            _U8.pack(Opcode.PUT)
-            + _U64.pack(request.key)
-            + _U32.pack(len(request.value))
-            + request.value
-        )
-    if isinstance(request, DeleteRequest):
-        return _U8.pack(Opcode.DELETE) + _U64.pack(request.key)
-    if isinstance(request, StatsRequest):
-        return _U8.pack(Opcode.STATS)
-    raise ProtocolError(f"cannot encode request of type {type(request).__name__}")
+_HEADER = bytes((MAGIC, VERSION))
+#: one op's fixed part, each packed or unpacked in one call
+_KEY_OP = struct.Struct(">BQ")  # GET / DELETE: opcode, key
+_PUT_HEAD = struct.Struct(">BQI")  # PUT: opcode, key, value length
+_VALUE_HEAD = struct.Struct(">BBI")  # VALUE: opcode, found, value length
+_FLAG_OP = struct.Struct(">BB")  # PUT_OK / DELETE_OK: opcode, flag
+_STATS_HEAD = struct.Struct(">BI")  # STATS_OK: opcode, JSON length
+_ERROR_HEAD = struct.Struct(">BBH")  # ERROR: opcode, code, message length
+_BATCH_HEAD = struct.Struct(">BBBH")  # magic, version, BATCH(_OK), count
+
+_STATS_WIRE = bytes((_STATS,))
+_PUT_CREATED_WIRE = _FLAG_OP.pack(_PUT_OK, 1)
+_PUT_UPDATED_WIRE = _FLAG_OP.pack(_PUT_OK, 0)
+_DELETED_WIRE = _FLAG_OP.pack(_DELETE_OK, 1)
+_NOT_DELETED_WIRE = _FLAG_OP.pack(_DELETE_OK, 0)
 
 
 def _frame(body: bytes) -> bytes:
     """Wrap a body with the length prefix and checksum."""
-    return _LEN.pack(len(body)) + _CRC.pack(zlib.crc32(body) & 0xFFFFFFFF) + body
+    return _PREFIX.pack(len(body), zlib.crc32(body)) + body
+
+
+def encode_request_body(request: Request) -> bytes:
+    """Encode a request into a frame body (no length/CRC prefix — what
+    a worker ring slot carries, under the ring's own CRC)."""
+    if type(request) is BatchRequest:
+        ops = request.ops
+        if len(ops) > 0xFFFF:
+            raise ProtocolError("batch exceeds 65535 operations")
+        parts = [_BATCH_HEAD.pack(MAGIC, VERSION, _BATCH, len(ops))]
+    else:
+        ops = (request,)
+        parts = [_HEADER]
+    append = parts.append
+    for op in ops:
+        kind = type(op)
+        if kind is GetRequest:
+            append(_KEY_OP.pack(_GET, op.key))
+        elif kind is PutRequest:
+            value = op.value
+            append(_PUT_HEAD.pack(_PUT, op.key, len(value)))
+            append(value)
+        elif kind is DeleteRequest:
+            append(_KEY_OP.pack(_DELETE, op.key))
+        elif kind is StatsRequest:
+            append(_STATS_WIRE)
+        elif kind is BatchRequest:
+            raise ProtocolError("batches cannot nest")
+        else:
+            raise ProtocolError(f"cannot encode request of type {kind.__name__}")
+    return b"".join(parts)
 
 
 def encode_request(request: Request) -> bytes:
     """Encode a request into a complete frame (length/CRC prefix included)."""
-    prefix = struct.pack(">BB", MAGIC, VERSION)
-    if isinstance(request, BatchRequest):
-        if len(request.ops) > 0xFFFF:
-            raise ProtocolError("batch exceeds 65535 operations")
-        parts = [prefix, _U8.pack(Opcode.BATCH), _U16.pack(len(request.ops))]
-        for op in request.ops:
-            if isinstance(op, BatchRequest):
-                raise ProtocolError("batches cannot nest")
-            parts.append(_encode_request_body(op))
-        body = b"".join(parts)
+    return _frame(encode_request_body(request))
+
+
+def encode_reply_body(reply: Reply) -> bytes:
+    """Encode a reply into a frame body (no length/CRC prefix)."""
+    if type(reply) is BatchReply:
+        subs = reply.replies
+        parts = [_BATCH_HEAD.pack(MAGIC, VERSION, _BATCH_OK, len(subs))]
     else:
-        body = prefix + _encode_request_body(request)
-    return _frame(body)
-
-
-def _encode_reply_body(reply: SimpleReply) -> bytes:
-    if isinstance(reply, ValueReply):
-        return (
-            _U8.pack(Opcode.VALUE)
-            + _U8.pack(int(reply.found))
-            + _U32.pack(len(reply.value))
-            + reply.value
-        )
-    if isinstance(reply, PutReply):
-        return _U8.pack(Opcode.PUT_OK) + _U8.pack(int(reply.created))
-    if isinstance(reply, DeleteReply):
-        return _U8.pack(Opcode.DELETE_OK) + _U8.pack(int(reply.deleted))
-    if isinstance(reply, StatsReply):
-        blob = json.dumps(reply.stats, sort_keys=True).encode("utf-8")
-        return _U8.pack(Opcode.STATS_OK) + _U32.pack(len(blob)) + blob
-    if isinstance(reply, ErrorReply):
-        message = reply.message.encode("utf-8")[:0xFFFF]
-        return (
-            _U8.pack(Opcode.ERROR)
-            + _U8.pack(int(reply.code))
-            + _U16.pack(len(message))
-            + message
-        )
-    raise ProtocolError(f"cannot encode reply of type {type(reply).__name__}")
+        subs = (reply,)
+        parts = [_HEADER]
+    append = parts.append
+    for sub in subs:
+        kind = type(sub)
+        if kind is ValueReply:
+            value = sub.value
+            append(_VALUE_HEAD.pack(_VALUE, 1 if sub.found else 0, len(value)))
+            append(value)
+        elif kind is PutReply:
+            append(_PUT_CREATED_WIRE if sub.created else _PUT_UPDATED_WIRE)
+        elif kind is DeleteReply:
+            append(_DELETED_WIRE if sub.deleted else _NOT_DELETED_WIRE)
+        elif kind is ErrorReply:
+            message = sub.message.encode("utf-8")[:0xFFFF]
+            append(_ERROR_HEAD.pack(_ERROR, int(sub.code), len(message)))
+            append(message)
+        elif kind is StatsReply:
+            blob = json.dumps(sub.stats, sort_keys=True).encode("utf-8")
+            append(_STATS_HEAD.pack(_STATS_OK, len(blob)))
+            append(blob)
+        elif kind is BatchReply:
+            raise ProtocolError("batches cannot nest")
+        else:
+            raise ProtocolError(f"cannot encode reply of type {kind.__name__}")
+    return b"".join(parts)
 
 
 def encode_reply(reply: Reply) -> bytes:
     """Encode a reply into a complete frame (length/CRC prefix included)."""
-    prefix = struct.pack(">BB", MAGIC, VERSION)
-    if isinstance(reply, BatchReply):
-        parts = [prefix, _U8.pack(Opcode.BATCH_OK), _U16.pack(len(reply.replies))]
-        for sub in reply.replies:
-            if isinstance(sub, BatchReply):
-                raise ProtocolError("batches cannot nest")
-            parts.append(_encode_reply_body(sub))
-        body = b"".join(parts)
-    else:
-        body = prefix + _encode_reply_body(reply)
-    return _frame(body)
+    return _frame(encode_reply_body(reply))
 
 
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
+#
+# Each decoder walks the body once at an integer offset.  Every read is
+# bounds-checked before it is made, so a short body raises
+# "truncated frame" and never a struct.error or IndexError.
+
+_TRUNCATED = "truncated frame"
 
 
-class _Cursor:
-    """Sequential reader over a frame body with bounds checking."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            raise ProtocolError("truncated frame")
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def blob(self, length_bytes: int = 4) -> bytes:
-        length = self.u32() if length_bytes == 4 else self.u16()
-        return self.take(length)
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
+def _check_header(body: bytes, end: int) -> None:
+    if end < 2:
+        raise ProtocolError(_TRUNCATED)
+    if body[0] != MAGIC:
+        raise ProtocolError(f"bad magic byte {body[0]:#x}")
+    if body[1] != VERSION:
+        raise ProtocolError(f"unsupported protocol version {body[1]}")
 
 
-def _check_header(cursor: _Cursor) -> None:
-    magic, version = cursor.u8(), cursor.u8()
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic byte {magic:#x}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
+def _batch_count(body: bytes, end: int) -> int:
+    if end < _BATCH_HEAD.size:
+        raise ProtocolError(_TRUNCATED)
+    return _BATCH_HEAD.unpack_from(body)[3]
 
 
-def _decode_request_body(cursor: _Cursor) -> SimpleRequest:
-    opcode = cursor.u8()
-    if opcode == Opcode.GET:
-        return GetRequest(cursor.u64())
-    if opcode == Opcode.PUT:
-        key = cursor.u64()
-        return PutRequest(key, cursor.blob())
-    if opcode == Opcode.DELETE:
-        return DeleteRequest(cursor.u64())
-    if opcode == Opcode.STATS:
-        return StatsRequest()
-    if opcode == Opcode.BATCH:
-        raise ProtocolError("batches cannot nest")
-    raise ProtocolError(f"unknown request opcode {opcode:#x}")
+def _decode_requests(
+    body: bytes, pos: int, count: int, end: int
+) -> Tuple[List[SimpleRequest], int]:
+    """``count`` sub-requests from ``pos``; returns them and the end offset."""
+    ops: List[SimpleRequest] = []
+    append = ops.append
+    for _ in range(count):
+        if pos >= end:
+            raise ProtocolError(_TRUNCATED)
+        opcode = body[pos]
+        if opcode == _GET or opcode == _DELETE:
+            if pos + 9 > end:  # _KEY_OP.size
+                raise ProtocolError(_TRUNCATED)
+            key = _KEY_OP.unpack_from(body, pos)[1]
+            append(GetRequest(key) if opcode == _GET else DeleteRequest(key))
+            pos += 9
+        elif opcode == _PUT:
+            start = pos + 13  # _PUT_HEAD.size
+            if start > end:
+                raise ProtocolError(_TRUNCATED)
+            _, key, length = _PUT_HEAD.unpack_from(body, pos)
+            pos = start + length
+            if pos > end:
+                raise ProtocolError(_TRUNCATED)
+            append(PutRequest(key, body[start:pos]))
+        elif opcode == _STATS:
+            append(StatsRequest())
+            pos += 1
+        elif opcode == _BATCH:
+            raise ProtocolError("batches cannot nest")
+        else:
+            raise ProtocolError(f"unknown request opcode {opcode:#x}")
+    return ops, pos
 
 
 def decode_request(body: bytes) -> Request:
     """Decode a frame body (without the length prefix) into a request."""
-    cursor = _Cursor(body)
-    _check_header(cursor)
-    if body[2:3] and body[2] == Opcode.BATCH:
-        cursor.u8()  # consume the BATCH opcode
-        count = cursor.u16()
-        ops = tuple(_decode_request_body(cursor) for _ in range(count))
-        request: Request = BatchRequest(ops)
+    end = len(body)
+    _check_header(body, end)
+    if end > 2 and body[2] == _BATCH:
+        ops, pos = _decode_requests(
+            body, _BATCH_HEAD.size, _batch_count(body, end), end)
+        request: Request = BatchRequest(tuple(ops))
     else:
-        request = _decode_request_body(cursor)
-    if not cursor.exhausted:
+        ops, pos = _decode_requests(body, 2, 1, end)
+        request = ops[0]
+    if pos != end:
         raise ProtocolError("trailing bytes after request")
     return request
 
 
-def _decode_reply_body(cursor: _Cursor) -> SimpleReply:
-    opcode = cursor.u8()
-    if opcode == Opcode.VALUE:
-        found = bool(cursor.u8())
-        return ValueReply(found, cursor.blob())
-    if opcode == Opcode.PUT_OK:
-        return PutReply(bool(cursor.u8()))
-    if opcode == Opcode.DELETE_OK:
-        return DeleteReply(bool(cursor.u8()))
-    if opcode == Opcode.STATS_OK:
-        blob = cursor.blob()
+def _decode_blob(
+    body: bytes, pos: int, end: int, head: struct.Struct
+) -> Tuple[Tuple[int, ...], bytes, int]:
+    """A length-prefixed blob whose ``head`` ends in its length; returns
+    the unpacked head, the blob and the end offset."""
+    start = pos + head.size
+    if start > end:
+        raise ProtocolError(_TRUNCATED)
+    fields = head.unpack_from(body, pos)
+    stop = start + fields[-1]
+    if stop > end:
+        raise ProtocolError(_TRUNCATED)
+    return fields, body[start:stop], stop
+
+
+def _decode_rare_reply(
+    body: bytes, pos: int, end: int, opcode: int
+) -> Tuple[SimpleReply, int]:
+    """STATS_OK and ERROR, the replies that are not per-key answers."""
+    if opcode == _STATS_OK:
+        _, blob, pos = _decode_blob(body, pos, end, _STATS_HEAD)
         try:
             stats = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(f"malformed stats payload: {error}") from error
         if not isinstance(stats, dict):
             raise ProtocolError("stats payload must be a JSON object")
-        return StatsReply(stats)
-    if opcode == Opcode.ERROR:
-        code = cursor.u8()
+        return StatsReply(stats), pos
+    if opcode == _ERROR:
+        if pos + 2 > end:
+            raise ProtocolError(_TRUNCATED)
         try:
-            error_code = ErrorCode(code)
+            code = ErrorCode(body[pos + 1])
         except ValueError as error:
-            raise ProtocolError(f"unknown error code {code}") from error
+            raise ProtocolError(f"unknown error code {body[pos + 1]}") from error
+        _, blob, pos = _decode_blob(body, pos, end, _ERROR_HEAD)
         try:
-            message = cursor.blob(length_bytes=2).decode("utf-8")
+            message = blob.decode("utf-8")
         except UnicodeDecodeError as error:
             raise ProtocolError(f"malformed error message: {error}") from error
-        return ErrorReply(error_code, message)
-    if opcode == Opcode.BATCH_OK:
+        return ErrorReply(code, message), pos
+    if opcode == _BATCH_OK:
         raise ProtocolError("batches cannot nest")
     raise ProtocolError(f"unknown reply opcode {opcode:#x}")
 
 
+def _decode_replies(
+    body: bytes, pos: int, count: int, end: int
+) -> Tuple[List[SimpleReply], int]:
+    """``count`` sub-replies from ``pos``; returns them and the end offset."""
+    replies: List[SimpleReply] = []
+    append = replies.append
+    for _ in range(count):
+        if pos >= end:
+            raise ProtocolError(_TRUNCATED)
+        opcode = body[pos]
+        if opcode == _VALUE:
+            start = pos + 6  # _VALUE_HEAD.size
+            if start > end:
+                raise ProtocolError(_TRUNCATED)
+            _, found, length = _VALUE_HEAD.unpack_from(body, pos)
+            pos = start + length
+            if pos > end:
+                raise ProtocolError(_TRUNCATED)
+            if found or length:
+                append(ValueReply(bool(found), body[start:pos]))
+            else:
+                append(NOT_FOUND)
+        elif opcode == _PUT_OK or opcode == _DELETE_OK:
+            if pos + 2 > end:  # _FLAG_OP.size
+                raise ProtocolError(_TRUNCATED)
+            if opcode == _PUT_OK:
+                append(PUT_CREATED if body[pos + 1] else PUT_UPDATED)
+            else:
+                append(DELETED if body[pos + 1] else NOT_DELETED)
+            pos += 2
+        else:
+            reply, pos = _decode_rare_reply(body, pos, end, opcode)
+            append(reply)
+    return replies, pos
+
+
 def decode_reply(body: bytes) -> Reply:
     """Decode a frame body (without the length prefix) into a reply."""
-    cursor = _Cursor(body)
-    _check_header(cursor)
-    if body[2:3] and body[2] == Opcode.BATCH_OK:
-        cursor.u8()  # consume the BATCH_OK opcode
-        count = cursor.u16()
-        replies = tuple(_decode_reply_body(cursor) for _ in range(count))
-        reply: Reply = BatchReply(replies)
+    end = len(body)
+    _check_header(body, end)
+    if end > 2 and body[2] == _BATCH_OK:
+        replies, pos = _decode_replies(
+            body, _BATCH_HEAD.size, _batch_count(body, end), end)
+        reply: Reply = BatchReply(tuple(replies))
     else:
-        reply = _decode_reply_body(cursor)
-    if not cursor.exhausted:
+        replies, pos = _decode_replies(body, 2, 1, end)
+        reply = replies[0]
+    if pos != end:
         raise ProtocolError("trailing bytes after reply")
     return reply
 
@@ -440,18 +523,17 @@ class ReplicaFrame:
 MigrationFrame = Union[MigrateFrame, FenceFrame, ReplicaFrame]
 
 
+#: magic, version, opcode, phase/action index, shard, epoch
+_MIGRATION_HEAD = struct.Struct(">BBBBII")
+_U32 = struct.Struct(">I")
+
+
 def _migration_prefix(opcode: int, index: int, shard: int, epoch: int) -> bytes:
     if not 0 <= shard <= 0xFFFFFFFF:
         raise ProtocolError(f"shard {shard} does not fit in u32")
     if not 0 <= epoch <= 0xFFFFFFFF:
         raise ProtocolError(f"routing epoch {epoch} does not fit in u32")
-    return (
-        struct.pack(">BB", MAGIC, VERSION)
-        + _U8.pack(opcode)
-        + _U8.pack(index)
-        + _U32.pack(shard)
-        + _U32.pack(epoch)
-    )
+    return _MIGRATION_HEAD.pack(MAGIC, VERSION, opcode, index, shard, epoch)
 
 
 def encode_migrate(frame: MigrateFrame) -> bytes:
@@ -494,6 +576,15 @@ def encode_replica(frame: ReplicaFrame) -> bytes:
     )
 
 
+#: per migration opcode: the frame class, its selector names, and the
+#: words error messages use for the frame and its selector
+_MIGRATION_KINDS = {
+    OP_MIGRATE: (MigrateFrame, MIGRATE_PHASES, "migration", "phase"),
+    OP_FENCE: (FenceFrame, FENCE_ACTIONS, "fence", "action"),
+    OP_REPLICA: (ReplicaFrame, REPLICA_ACTIONS, "replica", "action"),
+}
+
+
 def decode_migration_frame(body: bytes) -> MigrationFrame:
     """Decode a MIGRATE/FENCE/REPLICA body; strict by construction.
 
@@ -504,51 +595,32 @@ def decode_migration_frame(body: bytes) -> MigrationFrame:
     epoch.  A malformed migration frame must never decode into a
     different-but-valid routing instruction.
     """
-    cursor = _Cursor(body)
-    _check_header(cursor)
-    opcode = cursor.u8()
-    index = cursor.u8()
-    shard = cursor.u32()
-    epoch = cursor.u32()
-    if opcode == OP_MIGRATE:
-        if index >= len(MIGRATE_PHASES):
-            raise ProtocolError(f"unknown migration phase index {index}")
-        payload = cursor.blob()
-        echo = cursor.u32()
-        if echo != epoch:
-            raise ProtocolError(
-                f"migration frame epoch confusion: header epoch {epoch}, "
-                f"trailer epoch {echo}"
-            )
-        frame: MigrationFrame = MigrateFrame(
-            MIGRATE_PHASES[index], shard, epoch, payload
-        )
-    elif opcode == OP_FENCE:
-        if index >= len(FENCE_ACTIONS):
-            raise ProtocolError(f"unknown fence action index {index}")
-        echo = cursor.u32()
-        if echo != epoch:
-            raise ProtocolError(
-                f"fence frame epoch confusion: header epoch {epoch}, "
-                f"trailer epoch {echo}"
-            )
-        frame = FenceFrame(FENCE_ACTIONS[index], shard, epoch)
-    elif opcode == OP_REPLICA:
-        if index >= len(REPLICA_ACTIONS):
-            raise ProtocolError(f"unknown replica action index {index}")
-        payload = cursor.blob()
-        echo = cursor.u32()
-        if echo != epoch:
-            raise ProtocolError(
-                f"replica frame epoch confusion: header epoch {epoch}, "
-                f"trailer epoch {echo}"
-            )
-        frame = ReplicaFrame(REPLICA_ACTIONS[index], shard, epoch, payload)
-    else:
+    end = len(body)
+    _check_header(body, end)
+    pos = _MIGRATION_HEAD.size
+    if pos > end:
+        raise ProtocolError(_TRUNCATED)
+    _, _, opcode, index, shard, epoch = _MIGRATION_HEAD.unpack_from(body)
+    if opcode not in _MIGRATION_KINDS:
         raise ProtocolError(f"unknown migration opcode {opcode:#x}")
-    if not cursor.exhausted:
+    kind, names, label, selector = _MIGRATION_KINDS[opcode]
+    if index >= len(names):
+        raise ProtocolError(f"unknown {label} {selector} index {index}")
+    if kind is not FenceFrame:
+        _, payload, pos = _decode_blob(body, pos, end, _U32)
+    if pos + 4 > end:
+        raise ProtocolError(_TRUNCATED)
+    (echo,) = _U32.unpack_from(body, pos)
+    if echo != epoch:
+        raise ProtocolError(
+            f"{label} frame epoch confusion: header epoch {epoch}, "
+            f"trailer epoch {echo}"
+        )
+    if pos + 4 != end:
         raise ProtocolError("trailing bytes after migration frame")
-    return frame
+    if kind is FenceFrame:
+        return FenceFrame(names[index], shard, epoch)
+    return kind(names[index], shard, epoch, payload)
 
 
 # ----------------------------------------------------------------------
@@ -615,8 +687,7 @@ async def read_frame(
         if not more:
             raise ProtocolError("connection closed mid length-prefix")
         prefix += more
-    (length,) = _LEN.unpack_from(prefix, 0)
-    (expected_crc,) = _CRC.unpack_from(prefix, _LEN.size)
+    length, expected_crc = _PREFIX.unpack_from(prefix)
     if length < 3:
         raise ProtocolError(f"frame body too short ({length} bytes)")
     if length > max_frame_bytes:
@@ -625,7 +696,7 @@ async def read_frame(
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise ProtocolError("connection closed mid frame") from error
-    if (zlib.crc32(body) & 0xFFFFFFFF) != expected_crc:
+    if zlib.crc32(body) != expected_crc:
         raise ProtocolError("frame checksum mismatch")
     return body
 

@@ -102,7 +102,6 @@ from ..faults import FaultPlan
 from ..maintenance import MaintenanceDaemon
 from .executor import ShardExecutor, build_store
 from .protocol import (
-    FRAME_OVERHEAD,
     KEY_RUN_COUNT,
     BatchReply,
     BatchRequest,
@@ -130,8 +129,8 @@ from .protocol import (
     encode_key_run,
     encode_migrate,
     encode_replica,
-    encode_reply,
-    encode_request,
+    encode_reply_body,
+    encode_request_body,
 )
 from .server import McCuckooServer, ServerConfig
 from .shm import (
@@ -564,7 +563,7 @@ class _ShardWorker:
             self._send_reply(req_id, ErrorReply(ErrorCode.TOO_LARGE, str(error)))
 
     def _send_reply(self, req_id: int, reply: Reply) -> None:
-        self._send(req_id, KIND_REQUEST, encode_reply(reply)[FRAME_OVERHEAD:])
+        self._send(req_id, KIND_REQUEST, encode_reply_body(reply))
 
     def _send_event(self, payload: dict, block: bool = True) -> None:
         self._channel.send(EVENT_ID, KIND_CONTROL,
@@ -1538,7 +1537,7 @@ class WorkerServer(McCuckooServer):
             handle = self.pool.handle_for_worker(replica)
             body = encode_replica(ReplicaFrame(
                 "apply", shard, self._routing.epoch,
-                encode_request(request)[FRAME_OVERHEAD:],
+                encode_request_body(request),
             ))
             future = handle._submit(KIND_MIGRATE, body, ops=0)
         except (WorkerUnavailableError, WorkerDiedError, RingFullError,
@@ -1602,7 +1601,7 @@ class WorkerServer(McCuckooServer):
             return self._worker_busy_reply(worker_id)
         try:
             reply_body = await handle.call(
-                encode_request(request)[FRAME_OVERHEAD:], ops=1
+                encode_request_body(request), ops=1
             )
         except RingFullError:
             return self._ring_busy_reply(worker_id)
@@ -1631,7 +1630,7 @@ class WorkerServer(McCuckooServer):
         try:
             handle = self.pool.handle_for_worker(replica)
             reply_body = await handle.call(
-                encode_request(request)[FRAME_OVERHEAD:], ops=1
+                encode_request_body(request), ops=1
             )
         except (WorkerUnavailableError, WorkerDiedError, RingFullError,
                 RingFrameTooLarge):
@@ -1746,7 +1745,7 @@ class WorkerServer(McCuckooServer):
         else:
             kind = KIND_REQUEST
             sub_batch = BatchRequest(tuple(op for op, _ in admitted))
-            body = encode_request(sub_batch)[FRAME_OVERHEAD:]
+            body = encode_request_body(sub_batch)
         try:
             future = handle._submit(kind, body, ops=len(admitted))
         except RingFullError:

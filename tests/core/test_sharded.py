@@ -3,6 +3,7 @@
 import pytest
 
 from repro import ConcurrentMcCuckoo, DeletionMode
+from repro._numpy import numpy_available, numpy_or_none
 from repro.core import check_mccuckoo
 from repro.core.errors import ConfigurationError
 from repro.core.sharded import (
@@ -48,6 +49,18 @@ class TestShardRouter:
             shard = router.shard_of(key)
             assert 0 <= shard < 8
             assert shard == router.shard_of(key)
+
+    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+    def test_array_routing_matches_scalar_on_every_call(self):
+        """The router keeps its NumPy constants between calls; each call
+        must still route every key exactly as :meth:`shard_of` does."""
+        np = numpy_or_none()
+        router = ShardRouter(5, seed=23)
+        for size, seed in ((1, 24), (16, 25), (300, 26), (0, 27), (33, 28)):
+            keys = distinct_keys(size, seed=seed) + [0, 2**64 - 1]
+            routes = router.shard_of_array(np.array(keys, dtype=np.uint64))
+            assert routes.dtype == np.int64
+            assert routes.tolist() == [router.shard_of(k) for k in keys]
 
 
 class TestRouting:

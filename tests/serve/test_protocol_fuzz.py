@@ -22,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve import (
+    BatchReply,
     BatchRequest,
+    DeleteReply,
+    ErrorCode,
     ErrorReply,
     GetRequest,
     McCuckooClient,
@@ -114,6 +117,28 @@ class TestCodecFuzz:
                         decode(body[:cut])
                     except ProtocolError:
                         pass
+
+    MIXED_REQUEST = body_of(encode_request(BatchRequest((
+        GetRequest(1), PutRequest(2, b"value"), DeleteRequest(3),
+        StatsRequest(), PutRequest(4, b""), GetRequest(2**64 - 1)))))
+    MIXED_REPLY = body_of(encode_reply(BatchReply((
+        ValueReply(True, b"value"), ValueReply(False), PutReply(True),
+        DeleteReply(False), StatsReply({"a": 1}),
+        ErrorReply(ErrorCode.BUSY, "full"), ValueReply(True, b"")))))
+
+    @pytest.mark.parametrize("body,decode", [
+        (MIXED_REQUEST, decode_request), (MIXED_REPLY, decode_reply),
+    ], ids=["request", "reply"])
+    def test_every_strict_prefix_and_a_trailing_byte_raise(self, body, decode):
+        """A cut anywhere in a mixed batch, or one byte past its end, is
+        a ProtocolError: the offset walk checks bounds before each read,
+        so no struct.error or IndexError escapes."""
+        decode(body)
+        for cut in range(len(body)):
+            with pytest.raises(ProtocolError, match="truncated"):
+                decode(body[:cut])
+        with pytest.raises(ProtocolError, match="trailing"):
+            decode(body + b"\x00")
 
     @settings(max_examples=200, deadline=None)
     @given(blob=st.binary(max_size=200))
@@ -281,6 +306,19 @@ class TestMigrationFrameFuzz:
                 assert encode_fence(frame) == body
             else:
                 assert encode_replica(frame) == body
+
+    def test_golden_bytes(self):
+        """Bodies written by the per-field encoder this codec replaced."""
+        for frame, encode, body in (
+            (MigrateFrame("delta", 3, 9, b"pay"), encode_migrate,
+             "c301300200000003000000090000000370617900000009"),
+            (FenceFrame("ack", 1, 2), encode_fence,
+             "c3013101000000010000000200000002"),
+            (ReplicaFrame("apply", 5, 6, b"\x01\x02"), encode_replica,
+             "c3013200000000050000000600000002010200000006"),
+        ):
+            assert encode(frame) == bytes.fromhex(body)
+            assert decode_migration_frame(bytes.fromhex(body)) == frame
 
     def test_every_truncation_point_raises(self):
         for body in self.FRAMES:
