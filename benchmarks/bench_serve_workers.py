@@ -5,9 +5,12 @@ harness (single-process baseline, then ``WorkerServer`` at 1..N worker
 processes over real TCP), writes its report to a temporary path, and
 gates three things:
 
-* **No regression**: ops/sec at ``--workers 1`` must stay within 30% of
-  the committed baseline, when the baseline was produced with the same
-  workload shape (otherwise the comparison is meaningless and skipped).
+* **No regression**: ops/sec at ``--workers 1`` fails only when two
+  readings both fall more than 30% below the committed baseline: w1
+  itself, and w1 over the same run's single-process row against the
+  baseline's w1/w0 (so a slower box alone is not a regression), when
+  the baseline was produced with the same workload shape (otherwise the
+  comparison is meaningless and skipped).
 * **Transport overhead**: over the shared-memory ring transport, 2
   workers must reach at least 1 worker's ops/sec on *any* box — two
   workers should at worst tie one when there are no spare cores, so
@@ -42,8 +45,9 @@ from repro.analysis.bench_serve import (
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_serve.json"
 
-#: CI floor: fail when workers=1 throughput drops more than this fraction
-#: below the committed baseline (shape-matched runs only).
+#: CI floor: fail when workers=1 throughput, and its ratio to the same
+#: run's single-process row, both drop more than this fraction below the
+#: committed baseline's (shape-matched runs only).
 MAX_REGRESSION = 0.30
 
 #: w2/w1 floor for the shm transport: nominally 1.0 ("two workers never

@@ -233,6 +233,13 @@ def compare_to_baseline(
 ) -> Tuple[bool, str]:
     """(ok, message) regression verdict for one sweep point.
 
+    The point fails only when two readings agree: its ops/s against the
+    baseline's, and its ops/s relative to the same run's single-process
+    row (``workers=0``) against the baseline's ratio.  The first alone
+    misreads a slower or busier machine than the baseline's as a
+    regression, the second alone a single-process row that ran fast; a
+    worker path that got slower moves both.
+
     Only compares scale-matched runs: if the baseline was produced with a
     different workload shape (ops, batch, concurrency, shards, workload),
     the comparison is skipped and reported as ok, because ops/sec across
@@ -244,15 +251,21 @@ def compare_to_baseline(
     baseline_shape = {key: baseline["config"].get(key) for key in shape_keys}
     if current_shape != baseline_shape:
         return True, f"baseline shape differs ({baseline_shape}); skipped"
-    current = {row["workers"]: row for row in report["rows"]}
-    reference = {row["workers"]: row for row in baseline["rows"]}
+    current = {row["workers"]: row["ops_per_sec"] for row in report["rows"]}
+    reference = {row["workers"]: row["ops_per_sec"] for row in baseline["rows"]}
     if at_workers not in current or at_workers not in reference:
         return True, f"no workers={at_workers} row on both sides; skipped"
-    now = current[at_workers]["ops_per_sec"]
-    then = reference[at_workers]["ops_per_sec"]
-    floor = then * (1.0 - max_regression)
+    now, then = current[at_workers], reference[at_workers]
+    ratio = now / then
+    floor = 1.0 - max_regression
     message = (f"workers={at_workers}: {now:,.0f} ops/s vs baseline "
-               f"{then:,.0f} (floor {floor:,.0f})")
-    return now >= floor, message
+               f"{then:,.0f} ({ratio:.2f}x")
+    reading = ratio
+    if at_workers != 0 and current.get(0) and reference.get(0):
+        relative = ratio * reference[0] / current[0]
+        reading = max(ratio, relative)
+        message += f"; against this run's single-process row {relative:.2f}x"
+    message += f", floor {floor:.2f}x)"
+    return reading >= floor, message
 
 

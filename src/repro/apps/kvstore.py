@@ -544,24 +544,15 @@ class LogStructuredStore:
         k = canonical_key(key)
         return self._read_values([k], [self._index.lookup(k)], default)[0]
 
-    def get_many(
-        self, keys: List[KeyLike], default: Any = None, rows: Any = None
-    ) -> List[Any]:
+    def get_many(self, keys: List[KeyLike], default: Any = None) -> List[Any]:
         """Batched :meth:`get`: one value (or ``default``) per key, in order.
 
         Index probes go through the batched lookup kernel; the log reads
         for the hits are charged in a single accounting call, so the
-        off-chip totals equal a loop of scalar ``get`` calls.  ``rows``
-        are the keys' candidate ids in the index's active table, hashed by
-        the caller (:meth:`ResizableMcCuckoo.lookup_many`); ``keys`` must
-        then be canonical.
+        off-chip totals equal a loop of scalar ``get`` calls.
         """
-        if rows is None:
-            keys = [
-                key & MASK64 if type(key) is int else canonical_key(key)
-                for key in keys
-            ]
-        return self._read_values(keys, self._index.lookup_many(keys, rows=rows), default)
+        ks = [key & MASK64 if type(key) is int else canonical_key(key) for key in keys]
+        return self._read_values(ks, self._index.lookup_many(ks), default)
 
     def _read_values(self, ks: List[int], lookups: List[Any], default: Any) -> List[Any]:
         """The log-read tail of :meth:`get_many`: each hit's value is read

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -54,8 +55,16 @@ from .stash import OffChipStash
 # cap on a table's plan memo only matters for a large d.
 _PLAN_MEMO_CAP = 4096
 
-# The outcome of a key the counters alone prove absent (immutable, shared).
-_SCREENED_MISS = LookupOutcome.miss(0)
+
+def _stash_outcome(found: bool, value: Any, buckets_read: int) -> LookupOutcome:
+    """The outcome of a lookup that went on to probe the stash."""
+    return LookupOutcome(
+        found=found,
+        value=value if found else None,
+        from_stash=found,
+        checked_stash=True,
+        buckets_read=buckets_read,
+    )
 
 
 def probe_plan(vals: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -703,38 +712,36 @@ class McCuckoo(HashTable):
             for base in range(0, len(vals_flat), d)
         ]
 
-    def lookup_many(
-        self, keys: Sequence[KeyLike], rows: Any = None
-    ) -> List[LookupOutcome]:
-        """Batched lookup: one charged counter gather, then :meth:`_scan_lookups`.
-
-        ``rows``, when given, are the keys' global candidate ids from a
-        caller that hashed a larger run at once
-        (:meth:`~repro.serve.store.ShardedLogStore.get_many`): a
-        ``(len(keys), d)`` ``int64`` NumPy array.  ``keys`` must then be
-        canonical ``int`` keys.
-        """
-        if rows is None:
-            # Inline the canonical fast path: int keys dominate every workload.
-            ks = [
-                key & MASK64 if type(key) is int else canonical_key(key)
-                for key in keys
-            ]
-            flat, vals_flat = self._gather(self._candidate_ids(ks))
-        else:
-            ks = keys
-            flat, vals_flat = self._gather(rows.reshape(-1))
+    def lookup_many(self, keys: Sequence[KeyLike]) -> List[LookupOutcome]:
+        """Batched lookup: one charged counter gather, then :meth:`_scan_lookups`."""
+        # Inline the canonical fast path: int keys dominate every workload.
+        ks = [
+            key & MASK64 if type(key) is int else canonical_key(key)
+            for key in keys
+        ]
+        flat, vals_flat = self._gather(self._candidate_ids(ks))
         return self._scan_lookups(ks, flat, vals_flat)
 
     def _scan_lookups(
-        self, ks: Sequence[Key], flat: List[int], vals_flat: List[int]
-    ) -> List[LookupOutcome]:
+        self,
+        ks: Sequence[Key],
+        flat: List[int],
+        vals_flat: List[int],
+        hit: Callable[[Any, int], Any] = LookupOutcome.hit,
+        miss: Callable[[int], Any] = LookupOutcome.miss,
+        stashed: Callable[[bool, Any, int], Any] = _stash_outcome,
+    ) -> List[Any]:
         """The per-key probe loop over prefetched candidates and counters
         (``d`` consecutive entries of ``flat``/``vals_flat`` per key).
 
         Each row is probed in the order of its memoized :func:`probe_plan`
         (the one the scalar lookup uses), and all bucket reads are charged
-        in one call at the end.
+        in one call at the end.  One result per key: ``hit(value, reads)``,
+        ``miss(reads)`` (``miss(0)`` for a key the counters screen out) or,
+        after a stash probe, ``stashed(found, value, reads)``.  The
+        defaults build :class:`LookupOutcome` objects; the store's GET walk
+        (:meth:`~repro.serve.store.ShardedLogStore.get_many`) passes
+        constructors that keep only the stored log offset.
         """
         d = self.d
         rule1 = self.deletion_mode is not DeletionMode.RESET  # _rule1_active
@@ -746,11 +753,9 @@ class McCuckoo(HashTable):
         flags = self._flags
         stash = self._stash
         plans_get = self._plans.get
-        make_hit = LookupOutcome.hit
-        make_miss = LookupOutcome.miss
-        miss = _SCREENED_MISS
-        outcomes: List[LookupOutcome] = []
-        append_outcome = outcomes.append
+        screened = miss(0)
+        out: List[Any] = []
+        append = out.append
         total_bucket_reads = 0
         # zip over d copies of one iterator: consecutive d-tuples, in C.
         cand_rows = zip(*[iter(flat)] * d)
@@ -758,10 +763,10 @@ class McCuckoo(HashTable):
         for k, cands, vals in zip(ks, cand_rows, val_rows):
             if simple_screen:
                 if 0 in vals:
-                    append_outcome(miss)
+                    append(screened)
                     continue
             elif rule1 and self._never_inserted(cands, vals):
-                append_outcome(miss)
+                append(screened)
                 continue
             plan = plans_get(vals)
             if plan is None:
@@ -771,7 +776,7 @@ class McCuckoo(HashTable):
                 reads += 1
                 bucket = cands[column]
                 if keys_arr[bucket] == k:
-                    append_outcome(make_hit(values_arr[bucket], reads))
+                    append(hit(values_arr[bucket], reads))
                     break
             else:
                 # Miss: the stash pre-screen needs the flags of the probed
@@ -781,22 +786,13 @@ class McCuckoo(HashTable):
                 if stash is not None and self._should_check_stash(
                     vals, [flags.test(cands[column]) for column in plan]
                 ):
-                    s_found, s_value = stash.lookup(k)
-                    append_outcome(
-                        LookupOutcome(
-                            found=s_found,
-                            value=s_value if s_found else None,
-                            from_stash=s_found,
-                            checked_stash=True,
-                            buckets_read=reads,
-                        )
-                    )
+                    append(stashed(*stash.lookup(k), reads))
                 else:
-                    append_outcome(make_miss(reads))
+                    append(miss(reads))
             total_bucket_reads += reads
         if total_bucket_reads:
             self.mem.offchip_read("bucket", total_bucket_reads)
-        return outcomes
+        return out
 
     def put_many(self, pairs: Iterable[Tuple[KeyLike, Any]]) -> List[InsertOutcome]:
         """Two-phase batched insert.

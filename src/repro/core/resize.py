@@ -171,18 +171,14 @@ class ResizableMcCuckoo(HashTable):
             return outcome
         return self._retiring.lookup(key)
 
-    def lookup_many(
-        self, keys: Sequence[KeyLike], rows: Any = None
-    ) -> List[LookupOutcome]:
+    def lookup_many(self, keys: Sequence[KeyLike]) -> List[LookupOutcome]:
         """Batched lookup: active-half kernel, misses retried on the old half.
 
-        ``rows`` are the keys' candidate ids in the *active* half (see
-        :meth:`McCuckoo.lookup_many`); the old half hashes its retries
-        itself.  put_many/delete_many stay the interface's scalar loops on
-        purpose — each write must interleave its own migration step to
-        keep the per-operation resize bound.
+        put_many/delete_many stay the interface's scalar loops on purpose —
+        each write must interleave its own migration step to keep the
+        per-operation resize bound.
         """
-        outcomes = self._active.lookup_many(keys, rows=rows)
+        outcomes = self._active.lookup_many(keys)
         if self._retiring is not None:
             missed = [i for i, outcome in enumerate(outcomes) if not outcome.found]
             if missed:

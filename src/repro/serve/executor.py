@@ -116,24 +116,28 @@ class ShardExecutor:
             value = self.store.get(key)
         except Exception as error:
             return self.internal(error)
-        return self._value_reply(value)
+        self.stats.note_get(hit=value is not None)
+        if value is None:
+            return NOT_FOUND
+        return ValueReply(True, bytes(value))
 
     def get_run(self, keys: Sequence[Any]) -> List[SimpleReply]:
-        """A GET run as one paged lookup.  If the run fails as a whole,
-        each key is retried alone, so only a failing GET answers INTERNAL."""
+        """A GET run as one walk of the store, answered in one loop and
+        counted once.  If the run fails as a whole, each key is retried
+        alone, so only a failing GET answers INTERNAL."""
         try:
             values = self.store.get_many(keys)
         except Exception:
             if not isinstance(keys, list) and hasattr(keys, "tolist"):
                 keys = keys.tolist()  # a uint64 array
             return [self.get(key) for key in keys]
-        return [self._value_reply(value) for value in values]
-
-    def _value_reply(self, value: Optional[Any]) -> SimpleReply:
-        self.stats.note_get(hit=value is not None)
-        if value is None:
-            return NOT_FOUND
-        return ValueReply(True, bytes(value))
+        misses = values.count(None)
+        stats = self.stats
+        stats.gets += len(values)
+        stats.get_hits += len(values) - misses
+        stats.get_misses += misses
+        return [NOT_FOUND if value is None else ValueReply(True, bytes(value))
+                for value in values]
 
     def internal(self, error: Exception) -> ErrorReply:
         """Count and answer an op that failed inside the server."""

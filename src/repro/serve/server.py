@@ -398,16 +398,19 @@ class McCuckooServer:
                 writes.append((index, op))
             elif isinstance(op, GetRequest):
                 flush_writes()
-                await drain()
+                if pending:
+                    await drain()
                 reads.append((index, op))
             else:  # STATS: a barrier — everything before it must be visible
                 flush_reads()
                 flush_writes()
-                await drain()
+                if pending:
+                    await drain()
                 replies[index] = await self._handle_request(op)
         flush_reads()
         flush_writes()
-        await drain()
+        if pending:
+            await drain()
         assert all(reply is not None for reply in replies)
         return BatchReply(tuple(replies))  # type: ignore[arg-type]
 
@@ -494,11 +497,27 @@ class McCuckooServer:
             self.stats.bad_frames += 1
             return ErrorReply(ErrorCode.BAD_REQUEST, str(error))
         self.stats.requests += 1
+        # One timer per request instead of wait_for's Task per frame: on
+        # expiry it cancels this handler, and only that cancel becomes
+        # the TIMEOUT reply; an outside cancel (server.stop(), loop
+        # teardown) propagates.
+        task = asyncio.current_task()
+        fired = False
+
+        def expire() -> None:
+            nonlocal fired
+            fired = True
+            task.cancel()
+
+        timer = asyncio.get_running_loop().call_later(
+            self.config.request_timeout, expire
+        )
         try:
-            return await asyncio.wait_for(
-                self._handle_request(request), self.config.request_timeout
-            )
-        except asyncio.TimeoutError:
+            return await self._handle_request(request)
+        except asyncio.CancelledError:
+            uncancel = getattr(task, "uncancel", None)  # Python 3.11+
+            if not fired or (uncancel is not None and uncancel() > 0):
+                raise
             self.stats.timeouts += 1
             return ErrorReply(
                 ErrorCode.TIMEOUT,
@@ -507,3 +526,5 @@ class McCuckooServer:
         except Exception as error:
             self.stats.internal_errors += 1
             return ErrorReply(ErrorCode.INTERNAL, str(error))
+        finally:
+            timer.cancel()

@@ -14,7 +14,6 @@ control lives in the server's queueing.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Any, Dict, List, Optional, Sequence
 
 from .._numpy import numpy_or_none
@@ -27,6 +26,20 @@ from ..faults import FaultPlan
 from ..hashing import MASK64, KeyLike, canonical_key
 
 _MISSING = object()
+
+
+# The walk's constructors for McCuckoo._scan_lookups: a hit answers its
+# stored log offset, a miss None.
+def _offset_hit(offset: int, _reads: int) -> int:
+    return offset
+
+
+def _no_offset(_reads: int) -> None:
+    return None
+
+
+def _stash_offset(found: bool, offset: Optional[int], _reads: int) -> Optional[int]:
+    return offset if found else None
 
 
 class ShardedLogStore:
@@ -138,17 +151,24 @@ class ShardedLogStore:
         return None if value is _MISSING else value
 
     def get_many(self, keys: Sequence[KeyLike]) -> List[Optional[Any]]:
-        """Batched :meth:`get` as one paged lookup: the shards are the
-        pages of cuckoo hashing with pages, and each page's keys take one
-        batched lookup.
+        """Batched :meth:`get` as one walk over the run: the shards are the
+        pages of cuckoo hashing with pages.
 
-        A run the engine sends to NumPy (:meth:`EngineConfig.use_numpy`),
-        which may be a ``uint64`` array such as a view over a worker's ring
-        slot, is routed, sorted by page and hashed in one pass over every
-        page (:meth:`HashFamily.candidates_paged`); the page table is read
-        per call, since a resize or an in-place REHASH changes a shard's
-        active table.  A shorter run is routed in Python and each page's
-        table hashes its own keys.  A key of a shard outside this slice
+        The run is routed and hashed once.  A run the engine sends to NumPy
+        (:meth:`EngineConfig.use_numpy`), which may be a ``uint64`` array
+        such as a view over a worker's ring slot, is routed, sorted by page
+        and hashed in one pass over every page
+        (:meth:`HashFamily.candidates_paged`); the page table is read per
+        call, since a resize or an in-place REHASH changes a shard's active
+        table.  A shorter run is routed in Python and each page's table
+        hashes its own keys.
+
+        Each touched page then takes one charged counter gather and the
+        lookup rule's probe (:meth:`McCuckoo._scan_lookups`), which answers
+        each hit's log offset; misses are retried on a retiring half.  Each
+        hit is read with :meth:`ValueLog.value_at` straight from the page's
+        log image and lands at its input slot; the page's value-log reads
+        are charged in one call.  A key of a shard outside this slice
         raises :class:`ConfigurationError` before any lookup."""
         n_shards = self.n_shards
         np = numpy_or_none() if self.engine.use_numpy(len(keys)) else None
@@ -157,12 +177,15 @@ class ShardedLogStore:
                 keys = keys.tolist()  # a short uint64 array
             ks = [key & MASK64 if type(key) is int else canonical_key(key)
                   for key in keys]
-            shard_ids = self._router.shard_of_many(ks)
-            pages: List[List[int]] = [[] for _ in range(n_shards)]
-            for k, shard in zip(ks, shard_ids):
-                pages[shard].append(k)
-            page_rows: List[Any] = [None] * n_shards
-            self._check_slice(pages)
+            routes = self._router.shard_of_many(ks)
+            counts = [0] * n_shards
+            for shard in routes:
+                counts[shard] += 1
+            self._check_slice(counts)
+            # page by page, input order within (sorted is stable)
+            order = sorted(range(len(ks)), key=routes.__getitem__)
+            ks = [ks[slot] for slot in order]
+            rows = None
         else:
             if isinstance(keys, np.ndarray):
                 arr = keys.astype(np.uint64, copy=False)
@@ -173,7 +196,6 @@ class ShardedLogStore:
                     dtype=np.uint64,
                 )
             routes = self._router.shard_of_array(arr)
-            shard_ids = routes.tolist()
             counts = np.bincount(routes, minlength=n_shards).tolist()
             self._check_slice(counts)
             order = routes.argsort(kind="stable")  # page by page, input order within
@@ -189,24 +211,46 @@ class ShardedLogStore:
                 [(table._functions, table.n_buckets) for table in tables],
                 arr, page_of,
             )
-            ks = arr.tolist()
-            bounds = [0, *accumulate(counts)]
-            spans = list(zip(bounds, bounds[1:]))
-            pages = [ks[start:stop] for start, stop in spans]
-            page_rows = [rows[start:stop] for start, stop in spans]
-        values = [
-            iter(self._shards[shard].get_many(page, rows=page_rows[shard]))
-            if page else None
-            for shard, page in enumerate(pages)
-        ]
-        return [next(values[shard]) for shard in shard_ids]
+            ks, order = arr.tolist(), order.tolist()
+        values: List[Optional[Any]] = [None] * len(ks)
+        stop = 0
+        for shard, count in enumerate(counts):
+            if not count:
+                continue
+            start, stop = stop, stop + count
+            page_keys = ks[start:stop]
+            store = self._shards[shard]
+            index = store.index
+            table = index.active_table
+            ids = (table._candidate_ids(page_keys) if rows is None
+                   else rows[start:stop].reshape(-1))
+            offsets = table._scan_lookups(
+                page_keys, *table._gather(ids), _offset_hit, _no_offset, _stash_offset
+            )
+            retiring = index.retiring_table
+            if retiring is not None:
+                missed = [i for i, offset in enumerate(offsets) if offset is None]
+                if missed:
+                    retried = retiring.lookup_many([page_keys[i] for i in missed])
+                    for i, outcome in zip(missed, retried):
+                        if outcome.found:
+                            offsets[i] = outcome.value
+            value_at = store._log.value_at
+            hits = 0
+            for slot, k, offset in zip(order[start:stop], page_keys, offsets):
+                if offset is not None:
+                    values[slot] = value_at(offset, k)
+                    hits += 1
+            if hits:
+                store.mem.offchip_read("value-log", hits)
+        return values
 
-    def _check_slice(self, per_shard: Sequence[Any]) -> None:
-        """Raise unless every shard with a truthy entry (a key count or a
-        key list) is owned by this slice."""
+    def _check_slice(self, counts: Sequence[int]) -> None:
+        """Raise unless every shard with a non-zero key count is owned by
+        this slice."""
         if len(self.owned) < self.n_shards and any(
-            entry and self._shards[shard] is None
-            for shard, entry in enumerate(per_shard)
+            count and self._shards[shard] is None
+            for shard, count in enumerate(counts)
         ):
             raise ConfigurationError(
                 "key run contains keys routed to shards outside this slice"

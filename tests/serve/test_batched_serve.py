@@ -5,6 +5,7 @@ import asyncio
 
 import pytest
 
+from repro._numpy import numpy_or_none
 from repro.apps.kvstore import LogStructuredStore
 from repro.memory.model import MemoryModel
 from repro.serve import (
@@ -12,8 +13,10 @@ from repro.serve import (
     ErrorReply,
     McCuckooClient,
     McCuckooServer,
+    ServeStats,
     ServerConfig,
 )
+from repro.serve.executor import ShardExecutor
 from repro.serve.store import ShardedLogStore
 from repro.workloads import distinct_keys
 from tests.seeding import derive
@@ -51,6 +54,66 @@ class TestStoreGetMany:
     def test_get_many_empty(self):
         store = ShardedLogStore(n_shards=2, expected_items=64)
         assert store.get_many([]) == []
+
+
+class TestGetRunStats:
+    """``ShardExecutor.get_run`` answers and counts a run exactly as a
+    per-key ``get`` loop does, also when the run fails as a whole."""
+
+    @staticmethod
+    def twins(owned=None, engine="auto"):
+        keys = distinct_keys(120, seed=derive(31))
+        executors = []
+        for _ in range(2):
+            store = ShardedLogStore(n_shards=4, expected_items=512,
+                                    seed=derive(3), engine=engine)
+            for i, key in enumerate(keys):
+                store.put(key, bytes([i % 256]) * (i % 5))
+            if owned is not None:
+                for shard in range(4):
+                    if shard not in owned:
+                        store.release_shard(shard)
+            cfg = ServerConfig(n_shards=4, seed=derive(3))
+            executors.append(ShardExecutor(cfg, store, ServeStats()))
+        return keys, executors
+
+    @pytest.mark.parametrize("engine", ["python", "auto"])
+    @pytest.mark.parametrize("length", [1, 3, 16, 40])
+    def test_run_counts_like_a_per_key_loop(self, engine, length):
+        keys, (run_side, loop_side) = self.twins(engine=engine)
+        missing = distinct_keys(40, seed=derive(32))
+        queries = [q for pair in zip(keys, missing) for q in pair][:length]
+        replies = run_side.get_run(queries)
+        assert replies == [loop_side.get(key) for key in queries]
+        assert run_side.stats == loop_side.stats
+        assert run_side.stats.get_hits == sum(r.found for r in replies)
+        assert run_side.stats.gets == length
+
+    def test_uint64_run_counts_like_a_per_key_loop(self):
+        np = numpy_or_none()
+        if np is None:
+            pytest.skip("needs NumPy")
+        keys, (run_side, loop_side) = self.twins()
+        queries = keys[:20] + distinct_keys(12, seed=derive(33))
+        replies = run_side.get_run(np.array(queries, dtype=np.uint64))
+        assert replies == [loop_side.get(key) for key in queries]
+        assert run_side.stats == loop_side.stats
+
+    @pytest.mark.parametrize("length", [4, 24])
+    def test_failing_run_falls_back_key_by_key(self, length):
+        """A key of a shard outside the slice fails the whole run; each
+        key is then served alone and only the foreign one is INTERNAL."""
+        keys, (run_side, loop_side) = self.twins(owned=(0, 1))
+        store = run_side.store
+        mine = [key for key in keys if store.shard_index(key) in (0, 1)]
+        foreign = next(key for key in keys if store.shard_index(key) == 2)
+        queries = mine[: length - 1] + [foreign]
+        replies = run_side.get_run(queries)
+        assert replies == [loop_side.get(key) for key in queries]
+        assert run_side.stats == loop_side.stats
+        assert run_side.stats.internal_errors == 1
+        assert replies[-1].code is ErrorCode.INTERNAL
+        assert run_side.stats.gets == length - 1
 
 
 def config(**overrides) -> ServerConfig:

@@ -7,6 +7,8 @@ import zlib
 import pytest
 
 from repro.serve import (
+    BatchReply,
+    BatchRequest,
     ErrorCode,
     ErrorReply,
     GetRequest,
@@ -14,7 +16,9 @@ from repro.serve import (
     McCuckooServer,
     RequestTimeoutError,
     ServerBusyError,
+    PutRequest,
     ServerConfig,
+    ValueReply,
     decode_reply,
     encode_request,
     read_frame,
@@ -207,6 +211,93 @@ class TestTimeouts:
                     with pytest.raises(RequestTimeoutError):
                         await client.put(1, b"v")
                     assert server.stats.timeouts == 1
+
+        run(scenario())
+
+
+class TestRequestTimer:
+    """Each request runs under one timer, not a Task of its own; only the
+    timer's cancel answers TIMEOUT."""
+
+    @staticmethod
+    async def roundtrip(reader, writer, request):
+        writer.write(encode_request(request))
+        await writer.drain()
+        return decode_reply(await read_frame(reader))
+
+    def test_all_get_batches_create_no_task_per_frame(self):
+        async def scenario():
+            async with McCuckooServer(config()) as server:
+                host, port = server.address
+                keys = distinct_keys(64, seed=derive(21))
+                async with McCuckooClient(host, port) as client:
+                    await client.batch([("put", key, b"v") for key in keys])
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    batch = BatchRequest(tuple(GetRequest(key) for key in keys[:32]))
+                    # the connection's own handler task exists from here on
+                    await self.roundtrip(reader, writer, batch)
+                    loop = asyncio.get_running_loop()
+                    created = []
+
+                    def counting_factory(loop, coro, **kwargs):
+                        created.append(coro)
+                        return asyncio.Task(coro, loop=loop, **kwargs)
+
+                    loop.set_task_factory(counting_factory)
+                    try:
+                        for _ in range(20):
+                            reply = await self.roundtrip(reader, writer, batch)
+                            assert isinstance(reply, BatchReply)
+                            assert all(sub.found for sub in reply.replies)
+                    finally:
+                        loop.set_task_factory(None)
+                    assert created == []
+                finally:
+                    writer.close()
+                assert server.stats.timeouts == 0
+
+        run(scenario())
+
+    def test_timeout_leaves_the_connection_serving(self):
+        async def scenario():
+            cfg = config(n_shards=1, write_stall=0.5, request_timeout=0.05)
+            async with McCuckooServer(cfg) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    reply = await self.roundtrip(reader, writer, PutRequest(1, b"v"))
+                    assert isinstance(reply, ErrorReply)
+                    assert reply.code is ErrorCode.TIMEOUT
+                    for key in (2, 3):
+                        reply = await self.roundtrip(reader, writer, GetRequest(key))
+                        assert reply == ValueReply(False)
+                finally:
+                    writer.close()
+                assert server.stats.timeouts == 1
+                assert server.stats.gets == 2
+
+        run(scenario())
+
+    def test_stop_during_a_stalled_write_stops(self):
+        """server.stop() cancels the stalled write from outside: the
+        request is not answered as a TIMEOUT, and the connection closes."""
+
+        async def scenario():
+            cfg = config(n_shards=1, write_stall=5.0, request_timeout=30.0)
+            server = McCuckooServer(cfg)
+            host, port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_request(PutRequest(1, b"v")))
+                await writer.drain()
+                await asyncio.sleep(0.1)
+                await asyncio.wait_for(server.stop(), 5)
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+                writer.close()
+            finally:
+                await server.stop()
+            assert server.stats.timeouts == 0
 
         run(scenario())
 
