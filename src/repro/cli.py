@@ -22,7 +22,8 @@ Commands
     delete_many) and write the ``BENCH_core.json`` perf baseline.
 ``serve``
     Run the asyncio TCP server fronting the sharded log-structured
-    McCuckoo store (one writer task per shard, explicit backpressure).
+    McCuckoo store (writes applied inline at admission, explicit
+    backpressure).
     ``--workers N`` executes shards in N supervised worker processes.
 ``loadgen``
     Drive a closed-loop workload (zipf/uniform/mixed/YCSB) through the
@@ -157,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--max-connections", type=int, default=64)
     serve.add_argument("--queue-depth", type=int, default=512,
-                       help="bounded writer queue per shard (backpressure)")
+                       help="in-flight write ops per shard (per worker with "
+                            "--workers) past which writes draw BUSY")
     serve.add_argument("--timeout", type=float, default=5.0,
                        help="per-request timeout in seconds")
     serve.add_argument("--durable", action="store_true",

@@ -41,8 +41,10 @@ Rule grammar (``FaultPlan.parse``) — rules separated by ``;`` or ``,``:
     record (default: half) and raises :class:`InjectedCrash` — a crash
     mid-write, leaving a torn tail for recovery to truncate.
 ``delay_shard=SHARD:SECONDS[:EVERY]``
-    Shard SHARD's writer loop sleeps SECONDS before each EVERY-th run it
-    processes (default every run).  Models a slow / partitioned shard.
+    Shard SHARD's writer stalls SECONDS on each EVERY-th run it applies
+    (default every run): a worker sleeps before the run, the
+    single-process server holds the run's replies after applying it.
+    Models a slow / partitioned shard.
 ``busy=P``
     Each write dispatch is rejected with a BUSY error frame with
     probability P, regardless of actual queue depth.
@@ -399,7 +401,7 @@ class FaultPlan:
         return None
 
     def writer_delay(self, shard: int) -> float:
-        """Seconds the shard's writer loop should stall this iteration."""
+        """Seconds the shard's writer should stall this run."""
         if not self._armed:
             return 0.0
         delay = 0.0

@@ -15,9 +15,9 @@ classic maintenance loops that bound them, plus the scheduling glue:
   :mod:`repro.core.snapshot`) so recovery becomes checkpoint-load plus a
   short tail replay instead of a full log rebuild.
 * :class:`MaintenanceDaemon` / :class:`MaintenanceConfig` — garbage-ratio
-  and append-count policies deciding *when* each runs, consulted from the
-  per-shard writer loops (single-process and worker serving) between
-  writes.
+  and append-count policies deciding *when* each runs, consulted by each
+  shard's one writer (single-process and worker serving) between write
+  runs.
 
 Every boundary is fault-plan injectable (``crash_during_compaction``,
 ``torn_checkpoint``, ``kill_worker_during`` — see :mod:`repro.faults`),

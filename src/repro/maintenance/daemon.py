@@ -1,13 +1,13 @@
 """Scheduling: when to compact, when to checkpoint.
 
 :class:`MaintenanceDaemon` is deliberately not a thread.  The serving
-stack's concurrency unit is the one-writer-per-shard loop (asyncio task
-in single-process mode, worker process in multi-process mode), and the
-one invariant everything else leans on is that exactly one context ever
-mutates a shard.  A background thread would break that or need locks; so
-the daemon is instead *ticked* from the writer loop between write
-batches.  Each tick does bounded, per-shard work and other shards'
-writers are never blocked — reads don't touch the writer loop at all.
+stack's concurrency unit is the one writer per shard (the event loop in
+single-process mode, which applies writes inline at admission; a worker
+process in multi-process mode), and the one invariant everything else
+leans on is that exactly one context ever mutates a shard.  A background
+thread would break that or need locks; so the daemon is instead *ticked*
+by the writer after each shard's write run.  Each tick does bounded,
+per-shard work; reads never tick it.
 
 Policies are the classic pair: compact when the garbage ratio crosses a
 threshold (and the log is big enough to be worth it), checkpoint every N

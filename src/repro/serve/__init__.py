@@ -2,8 +2,8 @@
 
 Turns the in-process sharded McCuckoo KV store into a service: a
 length-prefixed binary wire protocol (:mod:`~repro.serve.protocol`), an
-asyncio TCP server with one writer task per shard and explicit
-backpressure (:mod:`~repro.serve.server`), a pooled async client with
+asyncio TCP server that applies writes inline at admission, with
+explicit backpressure (:mod:`~repro.serve.server`), a pooled async client with
 pipelined batches (:mod:`~repro.serve.client`), per-op serving counters
 behind the STATS verb (:mod:`~repro.serve.stats`), and a closed-loop load
 generator reporting ops/sec with p50/p95/p99 latency

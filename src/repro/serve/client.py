@@ -67,7 +67,8 @@ class ServeError(ReproError):
 
 
 class ServerBusyError(ServeError):
-    """Backpressure: writer queue or connection limit saturated."""
+    """Backpressure: a shard's write bound or the connection limit is
+    saturated."""
 
 
 class RequestTimeoutError(ServeError):

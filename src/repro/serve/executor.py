@@ -1,12 +1,13 @@
 """The shard executor: the one code path that applies ops to shards.
 
-Both servers keep one writer per shard (§III.H): an asyncio writer task
-per shard in :class:`~repro.serve.server.McCuckooServer`, the FIFO loop
-of each worker process in :class:`~repro.serve.workers.WorkerServer`.
-Both loops call a :class:`ShardExecutor`, the only code that applies a
-PUT or DELETE, builds GET replies, heals an :class:`InjectedCrash` and
-ticks maintenance; the loops keep only how they sleep, and the worker
-its kill rule, migration phases and log files.
+Both servers keep one writer per shard (§III.H): the event loop of
+:class:`~repro.serve.server.McCuckooServer`, which applies writes inline
+at admission (injected stalls hold the reply), and the FIFO loop of each
+worker process in :class:`~repro.serve.workers.WorkerServer`.  Both call
+a :class:`ShardExecutor`, the only code that applies a PUT or DELETE,
+builds GET replies, heals an :class:`InjectedCrash` and ticks
+maintenance; the servers keep only how they sleep, and the worker its
+kill rule, migration phases and log files.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class ShardExecutor:
             self.daemon.set_commit_hook(on_commit)
 
     def writer_delay(self, shard: int) -> float:
-        """Seconds the ``delay_shard`` rule stalls ``shard``'s writer
-        before its next run; each loop sleeps them its own way."""
+        """Seconds the ``delay_shard`` rule stalls ``shard``'s next run;
+        each server sleeps them its own way."""
         if self.faults is None:
             return 0.0
         return self.faults.writer_delay(shard)

@@ -194,15 +194,20 @@ class FaultgenReport:
 class _KeyState:
     """Acceptable-state tracker for one key (single-owner ops).
 
-    Soundness notes, which lean on the server's per-shard FIFO writer:
+    Soundness notes, which lean on the server's one writer per shard
+    (the single-process server applies writes inline at admission, in
+    admission order; a worker applies its shards' writes in its FIFO
+    loop):
 
     * An *acknowledged* write collapses the set — its ack proves every
-      earlier write on the key (all routed to the same shard queue) has
-      already been applied, so nothing older can resurface.
+      earlier write on the key (all routed to the same shard's writer)
+      has already been applied, so nothing older can resurface.
     * A read may only collapse the set when no unacknowledged write is
-      unresolved (``acked_only``): reads run inline at the server and do
-      NOT flush the writer queue, so a timed-out write can legally apply
-      *after* a read observed the older value.
+      unresolved (``acked_only``): a worker's reads do NOT flush its
+      FIFO inbox, so a timed-out write can legally apply *after* a read
+      observed the older value.  (In the single-process server a
+      timed-out write was applied at admission; the rule is only
+      stricter than it needs to be there.)
     * The owner map is no longer static: a live migration re-homes the
       key's shard mid-run.  Each transition is stamped with the routing
       epoch it happened under, and a read may only collapse the set when
@@ -325,8 +330,8 @@ async def _drive_and_verify(
 
         # --------------------------------------------------------------
         # verification: stop injecting (in every process), reach
-        # quiescence (every write that ever made a writer queue — or a
-        # worker inbox — has applied), then audit
+        # quiescence (every admitted write — in a worker's inbox too —
+        # has applied), then audit
         # --------------------------------------------------------------
         await server.disarm_faults()
         await server.drain_writes()

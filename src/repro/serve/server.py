@@ -5,26 +5,23 @@ Concurrency model — the paper's one-writer-many-readers discipline
 
 * **Reads** (GET, STATS) execute inline in the connection handler, so any
   number of connections read concurrently.
-* **Writes** (PUT, DELETE) are routed to the owning shard's single writer
-  task through its queue.  One writer per shard means mutations on a shard
-  are totally ordered; writers on different shards never touch shared
-  state.  A queue item is a *run* of ops: scalar requests enqueue runs of
-  one, while the BATCH path submits each shard's consecutive writes as a
-  single run, so a 32-op batch costs one queue round-trip per shard
-  instead of 32.
+* **Writes** (PUT, DELETE) are applied inline where they are admitted.
+  The event loop is the one writer of every shard: a run of writes (one
+  scalar request, or a batch's consecutive writes) is applied in op
+  order with no await in between, so each shard's mutations happen in
+  admission order.
 * **One executor**: reads and writes reach the store only through a
   :class:`~repro.serve.executor.ShardExecutor`, the class each worker
   process of :class:`~repro.serve.workers.WorkerServer` runs too.  It applies
   the write, builds the GET replies, heals an injected crash and ticks
-  maintenance.  A writer task adds only the asyncio side: the injected
-  ``writer_delay`` and ``write_stall`` are ``asyncio.sleep`` calls, and
-  maintenance ticks once after each queued run.
+  maintenance once per shard run.  Injected stalls (``writer_delay``,
+  ``write_stall``) hold the run's replies after it is applied.
 * **Backpressure** is explicit: each shard accepts at most
-  ``writer_queue_depth`` queued *ops* (tracked by a per-shard counter, not
-  the queue length, since runs vary in size) and answers overflow with a
-  per-op BUSY error frame immediately instead of buffering without bound.
-  Likewise a connection over the limit is greeted with BUSY and closed,
-  and a request that exceeds the per-request timeout gets a TIMEOUT frame.
+  ``writer_queue_depth`` held *ops* (ops whose replies an injected stall
+  holds) and answers overflow with a per-op BUSY error frame immediately
+  instead of buffering without bound.  Likewise a connection over the
+  limit is greeted with BUSY and closed, and a request that exceeds the
+  per-request timeout gets a TIMEOUT frame.
 
 Every reply is a frame; the server never drops a request silently.  The
 only event that closes a connection from the server side is a framing
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..faults import FaultPlan
 from ..maintenance import MaintenanceConfig
@@ -82,7 +79,10 @@ class ServerConfig:
     bound past which new ops draw BUSY.  Deep enough that a default
     closed-loop client (8 connections x 32-op batches = 256 in flight)
     never self-rejects when every op lands on one shard group; shallow
-    enough to bound a flooded queue's memory."""
+    enough to bound a flooded queue's memory.  The single-process server
+    applies writes where they are admitted, so only ops whose replies an
+    injected stall holds count against it: with no fault plan and no
+    ``write_stall`` its ``writer_queue_depth`` gauge reads 0."""
     request_timeout: float = 5.0
     max_batch_ops: int = 1024
     write_stall: float = 0.0
@@ -101,8 +101,8 @@ class ServerConfig:
     (random-walk)."""
     fault_plan: Optional[FaultPlan] = None
     """Deterministic fault injection (:mod:`repro.faults`): consulted by
-    the store at append boundaries, by each writer loop per iteration, by
-    the dispatch path per write, and by the wire layer per outgoing frame.
+    the store at append boundaries, per shard run of writes, by the
+    dispatch path per write, and by the wire layer per outgoing frame.
     ``None`` (the default) injects nothing."""
     maintenance: Optional[MaintenanceConfig] = None
     """Background compaction/checkpoint policy, ticked per shard by the
@@ -140,10 +140,8 @@ class McCuckooServer:
         if self.store is not None:
             self.executor = ShardExecutor(self.config, self.store, self.stats)
         self._server: Optional[asyncio.AbstractServer] = None
-        self._write_queues: List[asyncio.Queue] = []
         self._queued_ops: List[int] = []
-        self._writer_tasks: List[asyncio.Task] = []
-        self._connections = 0
+        self._handlers: Set[asyncio.Task] = set()  # one per open connection
 
     def _make_store(self) -> Optional[ShardedLogStore]:
         """Build the backing store; subclasses that host their shards out
@@ -164,7 +162,7 @@ class McCuckooServer:
         return host, port
 
     async def start(self) -> Tuple[str, int]:
-        """Bind, spawn the write backend, and begin accepting connections."""
+        """Start the write backend and begin accepting connections."""
         if self._server is not None:
             raise RuntimeError("server already started")
         await self._start_backend()
@@ -174,46 +172,34 @@ class McCuckooServer:
         return self.address
 
     async def stop(self) -> None:
+        """Stop accepting, end every connection handler, then the backend.
+
+        The handlers are cancelled before ``wait_closed()``, which since
+        Python 3.12 waits for every connection to close."""
         if self._server is not None:
             self._server.close()
+            for task in self._handlers:
+                task.cancel()
             await self._server.wait_closed()
             self._server = None
         await self._stop_backend()
 
     async def _start_backend(self) -> None:
-        """Spawn whatever executes writes — here, per-shard writer tasks.
-        Subclasses swap in a different topology (worker processes)."""
-        # Queues are unbounded; the writer_queue_depth bound is enforced in
-        # ops via _queued_ops so a grouped run of N writes occupies N slots
-        # while filling a single queue entry.
-        self._write_queues = [asyncio.Queue() for _ in range(self.store.n_shards)]
+        """Set up whatever executes writes — here, the per-shard counts of
+        held ops.  Subclasses swap in a different topology (worker
+        processes)."""
         self._queued_ops = [0] * self.store.n_shards
-        self._writer_tasks = [
-            asyncio.create_task(self._writer_loop(shard))
-            for shard in range(self.store.n_shards)
-        ]
 
     async def _stop_backend(self) -> None:
-        for task in self._writer_tasks:
-            task.cancel()
-        for task in self._writer_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._writer_tasks = []
-        self._write_queues = []
         self._queued_ops = []
 
     async def drain_writes(self) -> None:
-        """Wait until every queued write run has been fully applied.
+        """Wait until every admitted write has been applied.
 
-        Used by chaos/verification harnesses to reach a quiescent point:
-        after this returns (and with no new requests arriving), reads see
-        the final effect of every write that ever reached a writer queue.
+        Used by chaos/verification harnesses to reach a quiescent point.
+        Here a write is applied when it is admitted, so there is nothing
+        to wait for; the worker server waits for its workers' rings.
         """
-        for queue in self._write_queues:
-            await queue.join()
 
     async def disarm_faults(self) -> None:
         """Stop fault injection everywhere this server executes ops.
@@ -238,46 +224,15 @@ class McCuckooServer:
         await self.stop()
 
     # ------------------------------------------------------------------
-    # write path: one writer task per shard
+    # write path: applied where admitted
     # ------------------------------------------------------------------
-
-    async def _writer_loop(self, shard: int) -> None:
-        """Apply the shard's queued runs through the executor; this loop
-        adds only the asyncio sleeps for ``writer_delay`` and
-        ``write_stall``."""
-        queue = self._write_queues[shard]
-        executor = self.executor
-        while True:
-            run = await queue.get()
-            # Slots free as soon as the run is picked up, matching the old
-            # bounded-queue behaviour where qsize dropped at get().
-            self._queued_ops[shard] -= len(run)
-            delay = executor.writer_delay(shard)
-            if delay:
-                await asyncio.sleep(delay)
-            try:
-                for position, (request, future) in enumerate(run):
-                    try:
-                        if self.config.write_stall:
-                            await asyncio.sleep(self.config.write_stall)
-                        reply = executor.write(request)
-                        if not future.done():
-                            future.set_result(reply)
-                    except asyncio.CancelledError:
-                        for _, later in run[position:]:
-                            if not later.done():
-                                later.set_exception(asyncio.CancelledError())
-                        raise
-                executor.maintain(shard)
-            finally:
-                queue.task_done()
 
     def _busy_reply(self, shard: int) -> ErrorReply:
         self.stats.busy_rejections += 1
         return ErrorReply(
             ErrorCode.BUSY,
-            f"shard {shard} writer queue full "
-            f"({self.config.writer_queue_depth} pending)",
+            f"shard {shard} has {self.config.writer_queue_depth} "
+            "writes in flight",
         )
 
     def _injected_busy(self) -> Optional[ErrorReply]:
@@ -288,47 +243,50 @@ class McCuckooServer:
             return ErrorReply(ErrorCode.BUSY, "injected busy")
         return None
 
-    async def _submit_write(self, request: SimpleRequest) -> SimpleReply:
-        shard = self.store.shard_index(request.key)
-        if self._queued_ops[shard] >= self.config.writer_queue_depth:
-            return self._busy_reply(shard)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queued_ops[shard] += 1
-        self._write_queues[shard].put_nowait([(request, future)])
-        return await future
-
-    def _enqueue_write_run(
+    async def _write_run(
         self,
         run: List[Tuple[int, SimpleRequest]],
         replies: List[Optional[SimpleReply]],
-        pending: List[Tuple[int, "asyncio.Future"]],
     ) -> None:
-        """Submit a batch's consecutive writes: group by shard, enqueue each
-        shard's portion as ONE queue item, BUSY the ops past the shard's
-        free capacity (per-op, like the scalar path)."""
+        """Apply a run of writes where it is admitted: group it by shard,
+        BUSY the ops past a shard's free slots (per op), and apply the
+        rest through the executor in op order, ticking maintenance once
+        per shard.  Nothing is awaited until every admitted op is
+        applied; only then does an injected stall (``writer_delay``,
+        ``write_stall``) hold the replies, its ops keeping their slots."""
         by_shard: dict = {}
         for index, op in run:
-            injected = self._injected_busy()
-            if injected is not None:
-                replies[index] = injected
-                continue
             by_shard.setdefault(self.store.shard_index(op.key), []).append(
                 (index, op)
             )
-        loop = asyncio.get_running_loop()
-        depth = self.config.writer_queue_depth
+        executor = self.executor
+        queued = self._queued_ops
+        held: List[Tuple[int, int]] = []
+        stall = 0.0
         for shard, ops in by_shard.items():
-            free = max(0, depth - self._queued_ops[shard])
-            item: List[Tuple[SimpleRequest, asyncio.Future]] = []
-            for index, op in ops[:free]:
-                future: asyncio.Future = loop.create_future()
-                item.append((op, future))
-                pending.append((index, future))
+            free = max(0, self.config.writer_queue_depth - queued[shard])
             for index, _ in ops[free:]:
                 replies[index] = self._busy_reply(shard)
-            if item:
-                self._queued_ops[shard] += len(item)
-                self._write_queues[shard].put_nowait(item)
+            admitted = ops[:free]
+            if not admitted:
+                continue
+            delay = executor.writer_delay(shard)
+            for index, op in admitted:
+                replies[index] = executor.write(op)
+            executor.maintain(shard)
+            delay += self.config.write_stall * len(admitted)
+            if delay:
+                held.append((shard, len(admitted)))
+                stall = max(stall, delay)
+        if not held:
+            return
+        for shard, count in held:
+            queued[shard] += count
+        try:
+            await asyncio.sleep(stall)
+        finally:
+            for shard, count in held:
+                queued[shard] -= count
 
     # ------------------------------------------------------------------
     # dispatch
@@ -355,30 +313,24 @@ class McCuckooServer:
         return await self._handle_op(request)
 
     async def _handle_op(self, request: SimpleRequest) -> SimpleReply:
-        """One GET, PUT or DELETE: a GET reads inline, a write goes to
-        its shard's writer queue."""
+        """One GET, PUT or DELETE: a GET reads inline, a write is a run
+        of one."""
         if isinstance(request, GetRequest):
             return self.executor.get(request.key)
-        return await self._submit_write(request)
+        replies: List[Optional[SimpleReply]] = [None]
+        await self._write_run([(0, request)], replies)
+        return replies[0]  # type: ignore[return-value]
 
     async def _handle_batch(self, request: BatchRequest) -> BatchReply:
         """Ordered batch, served as runs rather than op-by-op: consecutive
-        writes are grouped per shard and enqueued as single writer items
-        (overflow still draws per-op BUSY), and consecutive GETs are served
-        together through the store's bulk lookup kernel.  A read first
-        flushes and drains every earlier write in the batch — so
-        read-your-writes holds within a batch and per-shard write order is
-        preserved — and a write run is only enqueued after earlier reads
-        have executed."""
+        GETs are answered together through the store's bulk lookup
+        kernel, and consecutive writes are applied as one write run
+        (overflow still draws per-op BUSY).  Runs are served in op order,
+        so read-your-writes holds within a batch, and a STATS op sees
+        everything before it."""
         replies: List[Optional[SimpleReply]] = [None] * len(request.ops)
-        pending: List[Tuple[int, asyncio.Future]] = []
         writes: List[Tuple[int, SimpleRequest]] = []
         reads: List[Tuple[int, GetRequest]] = []
-
-        async def drain() -> None:
-            for index, future in pending:
-                replies[index] = await future
-            pending.clear()
 
         def flush_reads() -> None:
             if reads:
@@ -387,36 +339,34 @@ class McCuckooServer:
                     replies[index] = reply
                 reads.clear()
 
-        def flush_writes() -> None:
+        async def flush_writes() -> None:
             if writes:
-                self._enqueue_write_run(writes, replies, pending)
+                await self._write_run(writes, replies)
                 writes.clear()
 
         for index, op in enumerate(request.ops):
             if isinstance(op, (PutRequest, DeleteRequest)):
                 flush_reads()
-                writes.append((index, op))
+                injected = self._injected_busy()
+                if injected is not None:
+                    replies[index] = injected
+                else:
+                    writes.append((index, op))
             elif isinstance(op, GetRequest):
-                flush_writes()
-                if pending:
-                    await drain()
+                await flush_writes()
                 reads.append((index, op))
             else:  # STATS: a barrier — everything before it must be visible
                 flush_reads()
-                flush_writes()
-                if pending:
-                    await drain()
+                await flush_writes()
                 replies[index] = await self._handle_request(op)
         flush_reads()
-        flush_writes()
-        if pending:
-            await drain()
+        await flush_writes()
         assert all(reply is not None for reply in replies)
         return BatchReply(tuple(replies))  # type: ignore[arg-type]
 
     async def _stats_snapshot(self) -> dict:
         self.stats.gauges = {
-            "connections_active": self._connections,
+            "connections_active": len(self._handlers),
             "writer_queue_depth": sum(self._queued_ops),
             **self.store.stats_snapshot(),
         }
@@ -434,7 +384,7 @@ class McCuckooServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._connections >= self.config.max_connections:
+        if len(self._handlers) >= self.config.max_connections:
             self.stats.connections_rejected += 1
             try:
                 await write_frame(
@@ -451,21 +401,22 @@ class McCuckooServer:
                 pass
             writer.close()
             return
-        self._connections += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
         self.stats.connections_opened += 1
         try:
             await self._serve_connection(reader, writer)
-        except (ConnectionError, OSError):
-            pass  # peer went away; nothing to answer
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # the peer went away, or stop() ended this handler: return
+            # quietly, since a cancellation escaping here makes the
+            # stream-protocol callback log a spurious traceback
+            pass
         finally:
-            self._connections -= 1
+            self._handlers.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
-                # swallowing cancellation here is deliberate: the handler is
-                # already tearing down, and letting it escape makes the
-                # stream-protocol callback log a spurious traceback
                 pass
 
     async def _serve_connection(

@@ -3,13 +3,14 @@
 Each shard is an independent :class:`~repro.apps.kvstore.LogStructuredStore`
 (its own value log and resizable McCuckoo index), and keys are routed with
 the same salt-keyed :class:`~repro.core.sharded.ShardRouter` the in-process
-:class:`~repro.core.sharded.ShardedMcCuckoo` uses.  The server gives every
-shard exactly one writer task, which is what makes this composition honor
-the paper's one-writer-many-readers model (§III.H): mutations on a shard
-are serialized through its queue while lookups on any shard run freely.
+:class:`~repro.core.sharded.ShardedMcCuckoo` uses.  Every shard has exactly
+one writer, which is what makes this composition honor the paper's
+one-writer-many-readers model (§III.H): the single-process server applies
+writes inline at admission on its event loop (injected stalls hold the
+reply), and a worker process applies its shards' writes in its FIFO loop.
 
 The store itself is synchronous and single-threaded; all concurrency
-control lives in the server's queueing.
+control lives in the server that drives it.
 """
 
 from __future__ import annotations

@@ -1803,7 +1803,7 @@ class WorkerServer(McCuckooServer):
     async def _stats_snapshot(self) -> Dict[str, float]:
         reports = await self.pool.collect_stats()
         gauges: Dict[str, float] = {
-            "connections_active": self._connections,
+            "connections_active": len(self._handlers),
             "ring_stale_discarded": self.pool.ring_stale_discarded(),
             "workers": self.n_workers,
             "workers_up": sum(

@@ -154,8 +154,8 @@ class TestMixedWorkloadCorrectness:
 
 class TestBackpressure:
     def test_saturated_writer_queue_answers_busy(self):
-        """Acceptance: a stalled single-shard writer with a depth-1 queue
-        must answer overflow with BUSY frames, not buffer unboundedly."""
+        """Acceptance: a stalled single shard with a depth-1 bound must
+        answer overflow with BUSY frames, not buffer unboundedly."""
 
         async def scenario():
             cfg = config(n_shards=1, writer_queue_depth=1, write_stall=0.05,
@@ -172,12 +172,24 @@ class TestBackpressure:
                         except ServerBusyError:
                             return "busy"
 
+                    peak = 0
+
+                    async def sample():
+                        nonlocal peak
+                        while True:
+                            peak = max(peak, server._queued_ops[0])
+                            await asyncio.sleep(0.005)
+
+                    sampler = asyncio.ensure_future(sample())
                     outcomes = await asyncio.gather(*(put(k) for k in keys))
+                    sampler.cancel()
                     assert outcomes.count("busy") > 0
                     assert outcomes.count("ok") > 0
                     assert server.stats.busy_rejections == outcomes.count("busy")
-                    # the queue never held more than its bound
-                    assert server._write_queues[0].qsize() <= 1
+                    # the stall held one op at a time, never more than the
+                    # bound, and gave every slot back
+                    assert peak == 1
+                    assert server._queued_ops[0] == 0
 
         run(scenario())
 
@@ -298,6 +310,50 @@ class TestRequestTimer:
             finally:
                 await server.stop()
             assert server.stats.timeouts == 0
+
+        run(scenario())
+
+    def test_stop_with_an_idle_client_connected_returns(self):
+        """stop() ends the idle connection's handler itself: since Python
+        3.12 ``Server.wait_closed()`` waits for every connection."""
+
+        async def scenario():
+            server = McCuckooServer(config())
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                await asyncio.sleep(0.05)
+                await asyncio.wait_for(server.stop(), 1)
+                assert await asyncio.wait_for(reader.read(), 1) == b""
+            finally:
+                writer.close()
+                await server.stop()
+
+        run(scenario())
+
+    def test_stop_during_a_stalled_write_logs_nothing(self):
+        """The cancelled handler returns quietly: no loop exception
+        handler call (the stream protocol's callback would log one)."""
+
+        async def scenario():
+            logged = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context))
+            cfg = config(n_shards=1, write_stall=5.0, request_timeout=30.0)
+            server = McCuckooServer(cfg)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(encode_request(PutRequest(1, b"v")))
+                await writer.drain()
+                await asyncio.sleep(0.1)
+                await asyncio.wait_for(server.stop(), 1)
+                assert await asyncio.wait_for(reader.read(), 1) == b""
+                await asyncio.sleep(0.05)  # let the done-callbacks run
+            finally:
+                writer.close()
+                await server.stop()
+            assert logged == []
 
         run(scenario())
 
