@@ -31,7 +31,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.config import DeletionMode, TableConfig
 from ..core.engine import EngineLike
@@ -39,11 +39,18 @@ from ..core.errors import ReproError, TableFullError
 from ..core.resize import ResizableMcCuckoo
 from ..core.results import InsertOutcome
 from ..core.snapshot import SNAPSHOT_VERSION, restore_resizable, snapshot_resizable
-from ..faults import FaultPlan, InjectedCrash
+from ..faults import AppendFault, FaultPlan, InjectedCrash
 from ..hashing import MASK64, Key, KeyLike, canonical_key
-from ..memory.model import MemoryModel
+from ..memory.model import MemoryModel, Op, Tier
 
 _TOMBSTONE = object()
+
+#: The value of a delete in a write run (:meth:`LogStructuredStore.write_run`).
+DELETE = _TOMBSTONE
+
+# The write kernel's counter-read charge, resolved once (an Enum member
+# lookup costs more than the charge itself).
+_ON_CHIP, _READ = Tier.ON_CHIP, Op.READ
 
 # ----------------------------------------------------------------------
 # record codec
@@ -67,6 +74,8 @@ _REC_PREFIX = struct.Struct(">IQBI")  # length prefix + header, one unpack
 _PREFIX_SIZE = _REC_PREFIX.size
 _FRAME_SIZE = _REC_HEAD.size + _REC_CRC.size
 _unpack_prefix = _REC_PREFIX.unpack_from
+_pack_prefix = _REC_PREFIX.pack
+_pack_crc = _REC_CRC.pack
 
 _KIND_BYTES = 0
 _KIND_STR = 1
@@ -79,8 +88,12 @@ class CorruptLogError(ReproError):
 
 
 def encode_record(key: Key, value: Any) -> bytes:
-    """Serialize one record (``_TOMBSTONE`` sentinel encodes a delete)."""
-    if value is _TOMBSTONE:
+    """Serialize one record (``_TOMBSTONE`` sentinel encodes a delete):
+    the length prefix and header in one pack, the CRC run over the header
+    and then the payload, and one join."""
+    if type(value) is bytes:  # every served value
+        kind, payload = _KIND_BYTES, value
+    elif value is _TOMBSTONE:
         kind, payload = _KIND_TOMBSTONE, b""
     elif isinstance(value, (bytes, bytearray, memoryview)):
         kind, payload = _KIND_BYTES, bytes(value)
@@ -88,9 +101,10 @@ def encode_record(key: Key, value: Any) -> bytes:
         kind, payload = _KIND_STR, value.encode("utf-8")
     else:
         kind, payload = _KIND_JSON, json.dumps(value, sort_keys=True).encode("utf-8")
-    body = _REC_HEAD.pack(key, kind, len(payload)) + payload
-    body += _REC_CRC.pack(zlib.crc32(body) & 0xFFFFFFFF)
-    return _REC_LEN.pack(len(body)) + body
+    size = len(payload)
+    head = _pack_prefix(size + _FRAME_SIZE, key, kind, size)
+    crc = zlib.crc32(payload, zlib.crc32(head[_REC_LEN.size:]))
+    return b"".join((head, payload, _pack_crc(crc)))
 
 
 def record_at(
@@ -246,6 +260,9 @@ class ValueLog:
     record.  ``len()`` is the record count.
     """
 
+    _faults: Optional[FaultPlan] = None  # a plain log has no durability boundary
+    _shard = 0
+
     def __init__(self) -> None:
         self._image = bytearray()
         self._count = 0
@@ -259,6 +276,12 @@ class ValueLog:
 
     def append_tombstone(self, key: Key) -> int:
         return self.append(key, _TOMBSTONE)
+
+    def extend(self, records: List[bytes], fault: Optional[AppendFault] = None) -> None:
+        """Append encoded records with one image extend.  A plain log has
+        no durability boundary, so ``fault`` is never set here."""
+        self._image += b"".join(records)
+        self._count += len(records)
 
     def copy_record(self, source: "ValueLog", offset: int) -> int:
         """Append ``source``'s record at ``offset`` byte for byte (no
@@ -361,28 +384,41 @@ class DurableValueLog(ValueLog):
         record = encode_record(key, value)
         fault = self._faults.on_append(self._shard) if self._faults else None
         offset = len(self._image)
+        self.extend([record], fault)
+        return offset
+
+    def extend(self, records: List[bytes], fault: Optional[AppendFault] = None) -> None:
+        """Append encoded records with one image extend and one sink
+        flush.  ``fault`` is what the plan answered for the last record
+        (each earlier one was consulted clean): a torn write keeps only a
+        prefix of it, a crash keeps all of it, and either raises
+        :class:`InjectedCrash` after the flush."""
         # The sink flush sits in a finally so an injected torn/crash append
         # still persists exactly the bytes the image says survived — a real
         # crash tears the file the same way it tears the image.
         try:
             if fault is not None and fault.torn:
+                record = records.pop()
                 keep = fault.keep_bytes
                 if keep is None:
                     keep = len(record) // 2
+                self._image += b"".join(records)
+                self._count += len(records)
                 self._image += record[: max(0, min(keep, len(record) - 1))]
                 raise InjectedCrash(
                     f"torn write after {len(self._image)} image bytes "
                     f"(shard {self._shard})"
                 )
-            self._image += record
-            self._count += 1
+            self._image += b"".join(records)
+            self._count += len(records)
             if fault is not None and fault.crash:
-                raise InjectedCrash(
+                crash = InjectedCrash(
                     f"crash after append #{self._count} (shard {self._shard})"
                 )
+                crash.persisted = True
+                raise crash
         finally:
             self._sync()
-        return offset
 
 
 # ----------------------------------------------------------------------
@@ -507,38 +543,111 @@ class LogStructuredStore:
     # ------------------------------------------------------------------
 
     def put(self, key: KeyLike, value: Any) -> InsertOutcome:
-        """Insert or update: points the index at the record, then appends.
+        """Insert or update: a write run of one (see :meth:`write_run`)."""
+        done: List[Any] = []
+        self._apply_run([canonical_key(key)], [value], done)
+        return done[0]
 
-        The index is updated *before* the log append (against the
-        prospective offset, which is just the current image size) so a
-        raising or failing index insert cannot leak an unreachable log
-        record — leaked records would never be reclaimed and would skew
-        ``garbage_ratio``.  The append itself is infallible.
+    def delete(self, key: KeyLike) -> bool:
+        """Delete: a write run of one (see :meth:`write_run`)."""
+        done: List[Any] = []
+        self._apply_run([canonical_key(key)], [DELETE], done)
+        return done[0]
+
+    def write_run(self, ops: Sequence[Tuple[KeyLike, Any]], done: List[Any]) -> None:
+        """Apply a run of writes in order: ``(key, value)`` pairs, with
+        value :data:`DELETE` for a delete.
+
+        Each applied op's outcome is appended to ``done``: the index's
+        :class:`InsertOutcome` for a put, whether anything was deleted for
+        a delete.  If an op raises, the ops before it stay applied and
+        logged and the exception propagates, so ``len(done)`` says which
+        op failed.  The run's index, log bytes, kicks, RNG draws and
+        :class:`MemoryModel` totals equal those of one op at a time.
         """
-        k = canonical_key(key)
-        outcome = self._index_put(k, self._log.image_size)
-        self._log.append(k, value)
-        self._appends_total += 1
-        return outcome
+        self._apply_run(
+            [key & MASK64 if type(key) is int else canonical_key(key)
+             for key, _ in ops],
+            [value for _, value in ops],
+            done,
+        )
 
-    def _index_put(self, k: Key, offset: int) -> InsertOutcome:
-        """The index half of :meth:`put`, shared with log replay."""
-        outcome = self._index.try_update(k, offset)
-        if outcome is None:
-            outcome = self._index.put(k, offset)
-            if outcome.failed:
-                raise TableFullError(
-                    f"index rejected key {k:#x}; store holds {self._live} items"
-                )
-            self._live += 1
-        return outcome
+    def _apply_run(
+        self,
+        ks: List[Key],
+        values: List[Any],
+        done: List[Any],
+        offsets: Optional[List[int]] = None,
+    ) -> None:
+        """The one write kernel: live writes (``offsets`` None) and log
+        replay (the records are in the image already, at ``offsets``).
 
-    def _index_delete(self, k: Key) -> bool:
-        """The index half of :meth:`delete`, shared with log replay."""
-        if not self._index.delete(k).deleted:
-            return False
-        self._live -= 1
-        return True
+        The run is hashed once against the active index half (again for
+        the rest of the run if a resize or rehash replaces it).  Each op
+        then reads its counters fresh, since earlier ops and migration
+        change them, and applies the update, insert or delete rule with
+        its candidates in hand.  The index is updated before its record
+        is staged, against the prospective offset, so a raising or
+        failing index insert leaks no log record.  Live records are
+        staged, the fault plan consulted per record, and the run's
+        records land with one image extend and one sink flush; the
+        counter reads are charged in one call, per counter.
+        """
+        index = self._index
+        log = self._log
+        replay = offsets is not None
+        faults = None if replay else log._faults
+        fault: Optional[AppendFault] = None
+        staged: List[bytes] = []
+        offset = len(log._image)
+        table = functions = flat = None
+        d = first = counter_reads = 0
+        try:
+            for i, k in enumerate(ks):
+                active = index._active
+                if active is not table or active._functions is not functions:
+                    table, functions, d, first = active, active._functions, active.d, i
+                    flat = table._candidate_ids(ks[i:])
+                    if not isinstance(flat, list):
+                        flat = flat.tolist()
+                at = (i - first) * d
+                cands = flat[at:at + d]
+                vals = table._counters._unpack(cands)
+                counter_reads += d
+                value = values[i]
+                if replay:
+                    offset = offsets[i]
+                if value is _TOMBSTONE:
+                    outcome = index._delete_with(k, cands, vals).deleted
+                    if not outcome:
+                        done.append(False)
+                        continue
+                    self._live -= 1
+                else:
+                    outcome = index._update_with(k, offset, cands, vals)
+                    if outcome is None:
+                        outcome = index._insert_with(k, offset, cands)
+                        if outcome.failed:
+                            raise TableFullError(
+                                f"index rejected key {k:#x}; store holds "
+                                f"{self._live} items"
+                            )
+                        self._live += 1
+                if not replay:
+                    record = encode_record(k, value)
+                    staged.append(record)
+                    if faults is not None:
+                        fault = faults.on_append(log._shard)
+                        if fault is not None:
+                            break  # op i is applied but never acknowledged
+                    offset += len(record)
+                done.append(outcome)
+        finally:
+            if counter_reads:
+                self.mem.record(_ON_CHIP, _READ, "copy-counter", counter_reads)
+            if staged:
+                self._appends_total += len(staged) - (fault is not None)
+                log.extend(staged, fault)
 
     def get(self, key: KeyLike, default: Any = None) -> Any:
         k = canonical_key(key)
@@ -575,14 +684,6 @@ class LogStructuredStore:
 
     def __contains__(self, key: KeyLike) -> bool:
         return self._index.lookup(canonical_key(key)).found
-
-    def delete(self, key: KeyLike) -> bool:
-        k = canonical_key(key)
-        if not self._index_delete(k):
-            return False
-        self._log.append_tombstone(k)
-        self._appends_total += 1
-        return True
 
     def __len__(self) -> int:
         return self._live
@@ -821,8 +922,8 @@ class LogStructuredStore:
     ) -> None:
         """Install ``image`` as this store's log, then replay ``records``
         — the ones after byte ``position``, which a restored checkpoint
-        does not cover — in log order, through the index calls
-        :meth:`put` and :meth:`delete` make.  The index then equals that
+        does not cover — in log order, as one run through the write kernel
+        live writes take (:meth:`_apply_run`).  The index then equals that
         of a store that never crashed; compaction is the one exception,
         since the index keeps history the compacted log no longer holds.
         """
@@ -830,13 +931,12 @@ class LogStructuredStore:
         self._log._count = report.records_replayed
         self._appends_total = report.records_replayed
         self._appends_at_checkpoint = report.checkpoint_records
-        offset = position
+        offsets: List[int] = []
         for record in records:
-            if record.is_tombstone:
-                self._index_delete(record.key)
-            else:
-                self._index_put(record.key, offset)
-            offset += record.size
+            offsets.append(position)
+            position += record.size
+        self._apply_run([record.key for record in records],
+                        [record.value for record in records], [], offsets)
         report.live_keys = self._live
         self.recovery_report = report
 

@@ -277,9 +277,17 @@ class McCuckoo(HashTable):
         return self._insert_canonical(k, value)
 
     def _insert_canonical(
-        self, k: Key, value: Any, charge_counters: bool = True
+        self,
+        k: Key,
+        value: Any,
+        charge_counters: bool = True,
+        cands: Optional[List[int]] = None,
     ) -> InsertOutcome:
-        cands = self._candidates(k)
+        """Insert a canonical key.  ``cands`` are its candidates when the
+        caller already hashed it (a write run's update miss); the d
+        counter reads are charged either way."""
+        if cands is None:
+            cands = self._candidates(k)
         if charge_counters:
             vals = self._counters.get_many(cands)
         else:
@@ -670,15 +678,14 @@ class McCuckoo(HashTable):
         """Global candidate ids of canonical keys, ``d`` per key in key
         order: a flat ``int64`` array under the NumPy engine, else a list."""
         n = self.n_buckets
-        if self._use_numpy(len(ks)):
+        if self._engine_numpy and len(ks) >= self._engine_min_batch:  # _use_numpy
             np = numpy_or_none()
             mat = self._family.candidates_matrix(
                 self._functions, np.array(ks, dtype=np.uint64), n
             )
             mat += np.arange(self.d, dtype=np.int64) * np.int64(n)
             return mat.reshape(-1)
-        raws = self._family.candidates_many(self._functions, ks, n)
-        return [table * n + raw[table] for raw in raws for table in range(self.d)]
+        return self._family.candidate_ids(self._functions, ks, n)
 
     def _gather(self, ids: Any) -> Tuple[List[int], List[int]]:
         """``ids`` as a list, and their counter values from one bulk
@@ -990,7 +997,13 @@ class McCuckoo(HashTable):
         n = self.n_buckets
         raw = self._family.candidates(self._functions, k, n)
         cands = [table * n + raw[table] for table in range(self.d)]
-        vals = self._counters.get_many(cands)
+        return self._update_canonical(k, cands, self._counters.get_many(cands), value)
+
+    def _update_canonical(
+        self, k: Key, cands: Sequence[int], vals: Sequence[int], value: Any
+    ) -> Optional[InsertOutcome]:
+        """:meth:`try_update` given the key's candidates and their counter
+        values, which the caller has read (and charged)."""
         if 0 in vals and self._never_inserted(cands, vals):
             return None
         copies, flags_read = self._find_copies(k, cands, vals)
@@ -1012,6 +1025,37 @@ class McCuckoo(HashTable):
                 self._stash.add(k, value)
                 return InsertOutcome(InsertStatus.UPDATED, copies=1)
         return None
+
+    def remap_values(self, mapping: Dict[Any, Any]) -> int:
+        """Replace every live value ``v`` by ``mapping[v]`` in one walk of
+        the buckets and the stash; returns the copies rewritten.
+
+        Compaction patches moved log offsets this way instead of one
+        :meth:`try_update` per key.  Charged as one bulk read of every
+        counter, one off-chip read and write per live copy, and one per
+        stash entry.  Keys, counters, flags and stash order stay as they
+        are."""
+        counters = self._counters.get_block(range(self.capacity))
+        values = self._values
+        live = [bucket for bucket, count in enumerate(counters) if count]
+        for bucket in live:
+            values[bucket] = mapping[values[bucket]]
+        if self._wear is not None:
+            for bucket in live:
+                self._wear.note(bucket)
+        if live:
+            self.mem.offchip_read("bucket", len(live))
+            self.mem.offchip_write("bucket", len(live))
+        stashed = 0
+        if self._stash is not None:
+            for chain in self._stash._buckets:
+                for position, (key, value) in enumerate(chain):
+                    chain[position] = (key, mapping[value])
+                stashed += len(chain)
+            if stashed:
+                self.mem.offchip_read("stash-remap", stashed)
+                self.mem.offchip_write("stash-remap", stashed)
+        return len(live) + stashed
 
     # ------------------------------------------------------------------
     # stash flag refresh (§III.F)

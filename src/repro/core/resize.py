@@ -25,7 +25,7 @@ window, and the invariant checkers hold on both halves at every step.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..hashing import Key, KeyLike
 from ..memory.model import MemoryModel
@@ -160,9 +160,41 @@ class ResizableMcCuckoo(HashTable):
     # ------------------------------------------------------------------
 
     def put(self, key: KeyLike, value: Any = None) -> InsertOutcome:
+        k = self._canonical(key)
+        return self._insert_with(k, value, self._active._candidates(k))
+
+    # A store's write run hashes its keys once against the active half and
+    # applies each op through these three, its candidates (and their
+    # freshly read counters) in hand; the scalar calls go through them too.
+
+    def _insert_with(self, k: Key, value: Any, cands: List[int]) -> InsertOutcome:
+        """Insert a canonical key whose active-half candidates are
+        ``cands``; they are recomputed if a resize starts first."""
+        active = self._active
         self._maybe_start_resize()
-        outcome = self._active.put(key, value)
+        if self._active is active:
+            outcome = active._insert_canonical(k, value, cands=cands)
+        else:
+            outcome = self._active._insert_canonical(k, value)
         self.migrate_step()
+        return outcome
+
+    def _update_with(
+        self, k: Key, value: Any, cands: Sequence[int], vals: Sequence[int]
+    ) -> Optional[InsertOutcome]:
+        outcome = self._active._update_canonical(k, cands, vals, value)
+        if outcome is None and self._retiring is not None:
+            outcome = self._retiring.try_update(k, value)
+        return outcome
+
+    def _delete_with(
+        self, k: Key, cands: Sequence[int], vals: Sequence[int]
+    ) -> DeleteOutcome:
+        outcome = self._active._delete_canonical(k, cands, vals)
+        if not outcome.deleted and self._retiring is not None:
+            outcome = self._retiring.delete(k)
+        if outcome.deleted:
+            self.migrate_step()
         return outcome
 
     def lookup(self, key: KeyLike) -> LookupOutcome:
@@ -199,10 +231,18 @@ class ResizableMcCuckoo(HashTable):
         return outcome
 
     def try_update(self, key: KeyLike, value: Any) -> Optional[InsertOutcome]:
-        outcome = self._active.try_update(key, value)
-        if outcome is None and self._retiring is not None:
-            outcome = self._retiring.try_update(key, value)
-        return outcome
+        k = self._canonical(key)
+        cands = self._active._candidates(k)
+        return self._update_with(k, value, cands, self._active._counters.get_many(cands))
+
+    def remap_values(self, mapping: Dict[Any, Any]) -> int:
+        """Replace every stored value ``v`` by ``mapping[v]`` in one walk
+        of both halves (see :meth:`McCuckoo.remap_values`); returns the
+        copies rewritten."""
+        total = self._active.remap_values(mapping)
+        if self._retiring is not None:
+            total += self._retiring.remap_values(mapping)
+        return total
 
     def items(self) -> Iterator[Tuple[Key, Any]]:
         yield from self._active.items()

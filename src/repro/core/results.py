@@ -35,15 +35,12 @@ class InsertOutcome:
 
     @classmethod
     def updated(cls, copies: int) -> "InsertOutcome":
-        """An in-place update of ``copies`` copies, built directly in
-        ``__dict__`` for the update kernel (see ``LookupOutcome.hit``)."""
-        self = object.__new__(cls)
-        fields = self.__dict__
-        fields["status"] = InsertStatus.UPDATED
-        fields["kicks"] = 0
-        fields["copies"] = copies
-        fields["collided"] = False
-        return self
+        """An in-place update of ``copies`` copies.  Outcomes are frozen,
+        so the update kernel shares one per copy count."""
+        outcome = _UPDATED.get(copies)
+        if outcome is None:
+            outcome = _UPDATED[copies] = cls(InsertStatus.UPDATED, copies=copies)
+        return outcome
 
     @property
     def stored(self) -> bool:
@@ -56,6 +53,9 @@ class InsertOutcome:
     @property
     def failed(self) -> bool:
         return self.status is InsertStatus.FAILED
+
+
+_UPDATED: "dict[int, InsertOutcome]" = {}
 
 
 @dataclass(frozen=True)

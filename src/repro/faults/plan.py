@@ -111,6 +111,11 @@ class InjectedCrash(ReproError):
     (:meth:`LogStructuredStore.recover_with_checkpoint`) instead of continuing.
     """
 
+    persisted = False
+    """True when the failing write's whole record reached the log before
+    the crash (``crash_after_appends``): recovery replays it, so the write
+    is applied though never acknowledged."""
+
 
 #: frame-site verdicts
 FRAME_OK = "ok"

@@ -98,6 +98,16 @@ class HashFamily(ABC):
         """
         return [self.candidates(functions, key, n_buckets) for key in keys]
 
+    def candidate_ids(
+        self, functions: Sequence[HashFunction], keys: Sequence[Key], n_buckets: int
+    ) -> List[int]:
+        """Global candidate ids of a batch of canonical keys as one flat
+        list, ``d`` per key in key order: ``t * n_buckets + c`` for each
+        sub-table ``t`` and candidate ``c``."""
+        return [table * n_buckets + raw[table]
+                for raw in self.candidates_many(functions, keys, n_buckets)
+                for table in range(len(functions))]
+
     def candidates_matrix(
         self, functions: Sequence[HashFunction], keys: Any, n_buckets: int
     ) -> Any:

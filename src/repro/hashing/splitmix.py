@@ -106,6 +106,22 @@ class SplitMixFamily(HashFamily):
             append(row)
         return out
 
+    def candidate_ids(
+        self, functions: Sequence[HashFunction], keys: Sequence[Key], n_buckets: int
+    ) -> List[int]:
+        """Flat global ids in one loop, no per-key row list."""
+        columns = [(fn.seed, table * n_buckets)  # type: ignore[attr-defined]
+                   for table, fn in enumerate(functions)]
+        out: List[int] = []
+        append = out.append
+        for key in keys:
+            for seed, base in columns:
+                x = (key ^ seed) + _GOLDEN & MASK64
+                x = ((x ^ (x >> 30)) * _MIX1) & MASK64
+                x = ((x ^ (x >> 27)) * _MIX2) & MASK64
+                append(base + (x ^ (x >> 31)) % n_buckets)
+        return out
+
     def candidates_matrix(
         self, functions: Sequence[HashFunction], keys: Any, n_buckets: int
     ) -> Any:

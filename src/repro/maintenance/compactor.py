@@ -3,9 +3,9 @@
 The store's append-only log accumulates one dead record per update or
 delete; compaction reclaims that space by copying the bytes of only the
 records the index still points at into a fresh image (verbatim: no
-re-encode, no re-CRC) and swapping it in.  Byte offsets change, so each
-surviving key's index entry is patched afterwards — an ordinary
-``try_update`` that rewrites all copies.
+re-encode, no re-CRC) and swapping it in.  Byte offsets change, so the
+index is patched afterwards in one walk of its buckets (both halves of a
+resize, and the stash) with the old → new offset map.
 
 Crash safety comes from ordering, not locking: the copy loop reads the
 old log and appends to a private fresh one, touching nothing the store
@@ -54,8 +54,8 @@ class Compactor:
         # appends into a log nobody can observe until commit.
         fresh = DurableValueLog(shard=shard) if durable else ValueLog()
 
-        moves = []
-        for key, offset in list(store._index.items()):
+        moves = {}  # old offset -> new offset
+        for _, offset in list(store._index.items()):
             if faults is not None and faults.on_compaction_record(shard):
                 raise InjectedCrash(
                     f"crash during compaction after {len(moves)} of "
@@ -63,13 +63,11 @@ class Compactor:
                 )
             if interrupt is not None:
                 interrupt("compaction", shard)
-            moves.append((key, fresh.copy_record(old_log, offset)))
+            moves[offset] = fresh.copy_record(old_log, offset)
 
         # ---- commit: everything above was side-effect free on the store
         store._log = fresh
-        for key, new_offset in moves:
-            updated = store._index.try_update(key, new_offset)
-            assert updated is not None, "live key vanished during compaction"
+        store._index.remap_values(moves)
         if durable:
             fresh.attach_faults(faults, shard)
         # Any existing checkpoint hashed the old image prefix; its CRC can

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
+from ..apps.kvstore import DELETE
+from ..core.results import InsertStatus
 from ..faults import InjectedCrash
 from ..maintenance import MaintenanceDaemon
 from .protocol import (
@@ -92,25 +94,81 @@ class ShardExecutor:
         return self.faults.writer_delay(shard)
 
     def write(self, request: SimpleRequest) -> SimpleReply:
-        """Apply one PUT or DELETE.  An injected crash answers INTERNAL —
-        the write is not acknowledged — after the shard was rebuilt from
-        its durable image, so no later op sees the poisoned index."""
-        try:
-            if isinstance(request, PutRequest):
-                result = self.store.put(request.key, request.value)
-                self.stats.note_put(
-                    result.created, kicks=result.kicks, stashed=result.stashed
+        """Apply one PUT or DELETE: a write run of one."""
+        return self.write_run(self.store.shard_index(request.key), [request])[0]
+
+    def write_run(
+        self,
+        shard: int,
+        ops: Sequence[SimpleRequest],
+        unacked: Optional[List[int]] = None,
+    ) -> List[SimpleReply]:
+        """Apply ``shard``'s run of PUTs and DELETEs, in order, as one
+        walk of the shard's write kernel
+        (:meth:`~repro.apps.kvstore.LogStructuredStore.write_run`), and
+        answer it in one list, counted once.  The caller routed every op
+        to ``shard``.
+
+        An op that raises answers INTERNAL and the run goes on after it.
+        An injected crash is not acknowledged either: the shard is first
+        rebuilt from its durable image, so the rest of the run applies on
+        the healed shard and no later op sees the poisoned index.  The
+        position of a crashed op whose record was persisted (so it is
+        applied, only not acknowledged) is appended to ``unacked``."""
+        stats = self.stats
+        stats.write_walks += 1
+        replies: List[SimpleReply] = []
+        while ops:
+            done: List[Any] = []
+            error: Optional[Exception] = None
+            try:
+                self.store.shard(shard).write_run(
+                    [(op.key, op.value) if type(op) is PutRequest else (op.key, DELETE)
+                     for op in ops],
+                    done,
                 )
-                return PUT_CREATED if result.created else PUT_UPDATED
-            deleted = self.store.delete(request.key)
-            self.stats.note_delete(deleted)
-            return DELETED if deleted else NOT_DELETED
-        except InjectedCrash as error:
-            self.stats.injected_crashes += 1
-            self._recover(self.store.shard_index(request.key))
-            return self.internal(error)
-        except Exception as error:
-            return self.internal(error)
+            except Exception as exc:  # noqa: BLE001 — answered INTERNAL below
+                error = exc
+            self._answer(ops, done, replies)
+            if error is None:
+                break
+            if isinstance(error, InjectedCrash):
+                stats.injected_crashes += 1
+                self._recover(shard)
+                if error.persisted and unacked is not None:
+                    unacked.append(len(replies))
+            replies.append(self.internal(error))
+            ops = ops[len(done) + 1:]
+        return replies
+
+    def _answer(self, ops: Sequence[SimpleRequest], done: List[Any],
+                replies: List[SimpleReply]) -> None:
+        """Reply to the applied prefix of a run and count it."""
+        stats = self.stats
+        append = replies.append
+        puts = creates = kicks = stashed = deletes = deleted = 0
+        for op, outcome in zip(ops, done):
+            if type(op) is PutRequest:
+                puts += 1
+                if outcome.status is InsertStatus.UPDATED:
+                    append(PUT_UPDATED)
+                    continue
+                creates += 1
+                kicks += outcome.kicks
+                stashed += outcome.stashed
+                append(PUT_CREATED)
+            else:
+                deletes += 1
+                deleted += outcome
+                append(DELETED if outcome else NOT_DELETED)
+        stats.puts += puts
+        stats.put_creates += creates
+        stats.put_updates += puts - creates
+        stats.put_kicks += kicks
+        stats.put_stashed += stashed
+        stats.deletes += deletes
+        stats.delete_hits += deleted
+        stats.delete_misses += deletes - deleted
 
     def get(self, key: Any) -> SimpleReply:
         try:
@@ -126,6 +184,7 @@ class ShardExecutor:
         """A GET run as one walk of the store, answered in one loop and
         counted once.  If the run fails as a whole, each key is retried
         alone, so only a failing GET answers INTERNAL."""
+        self.stats.get_walks += 1
         try:
             values = self.store.get_many(keys)
         except Exception:

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..faults import FaultPlan
 from ..maintenance import MaintenanceConfig
 from .executor import ShardExecutor, build_store
 from .protocol import (
     MAX_FRAME_BYTES,
+    NOT_FOUND,
     BatchReply,
     BatchRequest,
     DeleteRequest,
@@ -54,6 +55,7 @@ from .protocol import (
     SimpleRequest,
     StatsReply,
     StatsRequest,
+    ValueReply,
     decode_request,
     encode_reply,
     read_frame,
@@ -247,18 +249,21 @@ class McCuckooServer:
         self,
         run: List[Tuple[int, SimpleRequest]],
         replies: List[Optional[SimpleReply]],
+        unacked: Optional[Set[int]] = None,
     ) -> None:
         """Apply a run of writes where it is admitted: group it by shard,
-        BUSY the ops past a shard's free slots (per op), and apply the
-        rest through the executor in op order, ticking maintenance once
-        per shard.  Nothing is awaited until every admitted op is
-        applied; only then does an injected stall (``writer_delay``,
-        ``write_stall``) hold the replies, its ops keeping their slots."""
+        routing each op once, BUSY the ops past a shard's free slots (per
+        op), and apply the rest with one executor write walk per shard,
+        ticking maintenance once per shard.  Nothing is awaited until
+        every admitted op is applied; only then does an injected stall
+        (``writer_delay``, ``write_stall``) hold the replies, its ops
+        keeping their slots.  The op indices of writes that answered
+        INTERNAL though applied (a crash after a persisted record) are
+        added to ``unacked``."""
         by_shard: dict = {}
+        shard_index = self.store.shard_index
         for index, op in run:
-            by_shard.setdefault(self.store.shard_index(op.key), []).append(
-                (index, op)
-            )
+            by_shard.setdefault(shard_index(op.key), []).append((index, op))
         executor = self.executor
         queued = self._queued_ops
         held: List[Tuple[int, int]] = []
@@ -271,8 +276,12 @@ class McCuckooServer:
             if not admitted:
                 continue
             delay = executor.writer_delay(shard)
-            for index, op in admitted:
-                replies[index] = executor.write(op)
+            crashed: List[int] = []
+            applied = executor.write_run(shard, [op for _, op in admitted], crashed)
+            for (index, _), reply in zip(admitted, applied):
+                replies[index] = reply
+            if unacked is not None:
+                unacked.update(admitted[at][0] for at in crashed)
             executor.maintain(shard)
             delay += self.config.write_stall * len(admitted)
             if delay:
@@ -322,47 +331,87 @@ class McCuckooServer:
         return replies[0]  # type: ignore[return-value]
 
     async def _handle_batch(self, request: BatchRequest) -> BatchReply:
-        """Ordered batch, served as runs rather than op-by-op: consecutive
-        GETs are answered together through the store's bulk lookup
-        kernel, and consecutive writes are applied as one write run
-        (overflow still draws per-op BUSY).  Runs are served in op order,
-        so read-your-writes holds within a batch, and a STATS op sees
-        everything before it."""
-        replies: List[Optional[SimpleReply]] = [None] * len(request.ops)
-        writes: List[Tuple[int, SimpleRequest]] = []
-        reads: List[Tuple[int, GetRequest]] = []
-
-        def flush_reads() -> None:
-            if reads:
-                run = self.executor.get_run([op.key for _, op in reads])
-                for (index, _), reply in zip(reads, run):
-                    replies[index] = reply
-                reads.clear()
-
-        async def flush_writes() -> None:
-            if writes:
-                await self._write_run(writes, replies)
-                writes.clear()
-
-        for index, op in enumerate(request.ops):
-            if isinstance(op, (PutRequest, DeleteRequest)):
-                flush_reads()
-                injected = self._injected_busy()
-                if injected is not None:
-                    replies[index] = injected
-                else:
-                    writes.append((index, op))
-            elif isinstance(op, GetRequest):
-                await flush_writes()
-                reads.append((index, op))
-            else:  # STATS: a barrier — everything before it must be visible
-                flush_reads()
-                await flush_writes()
+        """An ordered batch.  STATS ops are barriers that cut it into
+        segments; each sees everything before it.  Each segment is served
+        in one pass (see :meth:`_serve_segment`)."""
+        ops = request.ops
+        replies: List[Optional[SimpleReply]] = [None] * len(ops)
+        start = 0
+        for index, op in enumerate(ops):
+            if isinstance(op, StatsRequest):
+                await self._serve_segment(ops, start, index, replies)
                 replies[index] = await self._handle_request(op)
-        flush_reads()
-        await flush_writes()
+                start = index + 1
+        await self._serve_segment(ops, start, len(ops), replies)
         assert all(reply is not None for reply in replies)
         return BatchReply(tuple(replies))  # type: ignore[arg-type]
+
+    async def _serve_segment(
+        self,
+        ops: Sequence[Request],
+        start: int,
+        stop: int,
+        replies: List[Optional[SimpleReply]],
+    ) -> None:
+        """Serve ``ops[start:stop]``, GETs and writes only, as if one op
+        at a time: all GETs in one walk against the state before the
+        segment, then all writes with one write walk per shard, then each
+        GET takes the latest earlier write to its key that was applied —
+        its value after a PUT, NOT_FOUND after a DELETE.  A write that
+        drew BUSY or INTERNAL is not applied and not forwarded, except a
+        write whose injected crash came after its record was persisted:
+        recovery replays it, so a later GET sees it as an op-by-op server
+        would.  Nothing yields between the walks, so no other request
+        sees the segment half served."""
+        gets: List[int] = []
+        writes: List[Tuple[int, SimpleRequest]] = []
+        for index in range(start, stop):
+            op = ops[index]
+            if isinstance(op, GetRequest):
+                gets.append(index)
+                continue
+            injected = self._injected_busy()
+            if injected is not None:
+                replies[index] = injected
+            else:
+                writes.append((index, op))  # type: ignore[arg-type]
+        if gets:
+            walked = self.executor.get_run([ops[index].key for index in gets])
+            for index, reply in zip(gets, walked):
+                replies[index] = reply
+        if writes:
+            unacked: Set[int] = set()
+            await self._write_run(writes, replies, unacked)
+            if gets:
+                self._forward(ops, start, stop, replies, unacked)
+
+    def _forward(
+        self,
+        ops: Sequence[Request],
+        start: int,
+        stop: int,
+        replies: List[Optional[SimpleReply]],
+        unacked: Set[int],
+    ) -> None:
+        """Give each GET of a served segment the latest earlier write to
+        its key that was applied, counting a changed hit or miss."""
+        latest: dict = {}
+        stats = self.stats
+        for index in range(start, stop):
+            op = ops[index]
+            reply = replies[index]
+            if isinstance(op, GetRequest):
+                forwarded = latest.get(op.key)
+                if forwarded is None:
+                    continue
+                if isinstance(reply, ValueReply) and reply.found != forwarded.found:
+                    change = 1 if forwarded.found else -1
+                    stats.get_hits += change
+                    stats.get_misses -= change
+                replies[index] = forwarded
+            elif not isinstance(reply, ErrorReply) or index in unacked:
+                latest[op.key] = (NOT_FOUND if isinstance(op, DeleteRequest)
+                                  else ValueReply(True, op.value))
 
     async def _stats_snapshot(self) -> dict:
         self.stats.gauges = {

@@ -125,10 +125,11 @@ class TestPutAtomicity:
         records_before = store.log_records
         garbage_before = store.garbage_ratio
 
-        def explode(key, value):
+        def explode(key, value, cands):
             raise RuntimeError("injected index failure")
 
-        monkeypatch.setattr(store.index, "put", explode)
+        # the insert step of the store's write kernel
+        monkeypatch.setattr(store.index, "_insert_with", explode)
         with pytest.raises(RuntimeError, match="injected"):
             store.put("doomed", "v")
         monkeypatch.undo()
@@ -145,8 +146,8 @@ class TestPutAtomicity:
         store = LogStructuredStore(expected_items=100, seed=31)
         monkeypatch.setattr(
             store.index,
-            "put",
-            lambda key, value: InsertOutcome(InsertStatus.FAILED),
+            "_insert_with",
+            lambda key, value, cands: InsertOutcome(InsertStatus.FAILED),
         )
         with pytest.raises(TableFullError):
             store.put("doomed", "v")

@@ -16,20 +16,26 @@ mid-write, and recovers it along one drawn path:
 
 The recovered index must snapshot identically to the twin's, the log
 images must be byte-identical (the torn tail dropped), and one
-continuation of inserts must kick and stash identically.  Compaction is
+continuation of inserts must kick and stash identically.  Runs of writes
+go through the store's write kernel as one run on the shard and one op
+at a time on the twin, which must leave equal replies, snapshots, log
+bytes and ``MemoryModel`` totals in either counter-charging mode.  Compaction is
 the one documented exception to replay equality — the index keeps
 history the compacted log no longer holds — so streams that compact are
 only recovered through a checkpoint, which the compaction rule takes at
 once, as the maintenance daemon does.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
+from repro.apps.kvstore import DELETE
 from repro.core.policies import POLICIES
 from repro.core.snapshot import snapshot_resizable
 from repro.faults import FaultPlan, InjectedCrash
+from repro.memory import CounterCharging
 from repro.serve.store import ShardedLogStore
 from tests.seeding import derive
 
@@ -37,6 +43,31 @@ KEYS = st.integers(min_value=0, max_value=160)
 PATHS = ("checkpoint", "torn-checkpoint", "missing-checkpoint",
          "worker-restart", "migration")
 CONTINUATION = 24
+RUN_OPS = st.lists(
+    st.tuples(st.sampled_from(["put", "delete", "new"]), KEYS,
+              st.binary(max_size=12)),
+    max_size=30,
+)
+
+
+def run_equals_ops_one_at_a_time(live, twin, ops):
+    """Apply ``ops`` — ``(key, value)`` pairs, value ``DELETE`` for a
+    delete — as one write run on ``live`` and one op at a time on
+    ``twin`` (both one-shard stores), and check they agree."""
+    run_shard, op_shard = live.shard(0), twin.shard(0)
+    run_mem, op_mem = run_shard.mem.summary(), op_shard.mem.summary()
+    done = []
+    run_shard.write_run(ops, done)
+    one_at_a_time = [op_shard.delete(key) if value is DELETE
+                     else op_shard.put(key, value) for key, value in ops]
+    assert done == one_at_a_time
+    assert run_shard.log_bytes == op_shard.log_bytes
+    assert snapshot_resizable(run_shard.index) == snapshot_resizable(op_shard.index)
+    run_delta = {name: count - run_mem[name]
+                 for name, count in run_shard.mem.summary().items()}
+    op_delta = {name: count - op_mem[name]
+                for name, count in op_shard.mem.summary().items()}
+    assert run_delta == op_delta
 
 
 class RecoveryMachine(RuleBasedStateMachine):
@@ -48,9 +79,10 @@ class RecoveryMachine(RuleBasedStateMachine):
         torn_keep=st.none() | st.integers(min_value=0, max_value=40),
         preload=st.integers(min_value=50, max_value=110),
         compacts=st.booleans(),
+        charging=st.sampled_from(list(CounterCharging)),
     )
     def build(self, policy, expected_items, seed, path, torn_keep, preload,
-              compacts):
+              compacts, charging):
         self.path = path
         self.torn_keep = torn_keep
         # full replay cannot follow a compaction (see the module docstring)
@@ -66,6 +98,8 @@ class RecoveryMachine(RuleBasedStateMachine):
                              kick_policy=policy)
         self.live = ShardedLogStore(faults=self.plan, **self.settings)
         self.twin = ShardedLogStore(**self.settings)
+        for store in (self.live, self.twin):
+            store.shard(0).mem.counter_charging = charging
         self.next_key = 1000
         self.fill(preload)  # start near the first resize
 
@@ -86,6 +120,17 @@ class RecoveryMachine(RuleBasedStateMachine):
     @rule(key=KEYS)
     def delete(self, key):
         assert self.live.delete(key) == self.twin.delete(key)
+
+    @rule(ops=RUN_OPS)
+    def write_run(self, ops):
+        """Puts, overwrites, deletes of present and absent keys and new
+        keys (which resize the index) as one run against one at a time."""
+        run = []
+        for verb, key, value in ops:
+            if verb == "new":
+                key, self.next_key = self.next_key, self.next_key + 1
+            run.append((key, DELETE if verb == "delete" else value))
+        run_equals_ops_one_at_a_time(self.live, self.twin, run)
 
     @rule()
     def checkpoint(self):
@@ -148,3 +193,23 @@ TestRecoveredEqualsNeverCrashed = RecoveryMachine.TestCase
 TestRecoveredEqualsNeverCrashed.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None
 )
+
+
+@pytest.mark.parametrize("charging", list(CounterCharging))
+def test_a_run_that_starts_a_resize_midway_equals_one_op_at_a_time(charging):
+    settings = dict(n_shards=1, expected_items=64, seed=derive(0x5EC1),
+                    durable=True)
+    live, twin = ShardedLogStore(**settings), ShardedLogStore(**settings)
+    for store in (live, twin):
+        store.shard(0).mem.counter_charging = charging
+        for key in range(70):
+            store.put(key, b"p")
+    index = live.shard(0).index
+    generations = index.generations
+    assert not index.resizing
+    ops = [(key, b"o") for key in range(0, 70, 3)]
+    ops += [(key, DELETE) for key in (1, 2, 500)]
+    ops += [(1000 + key, b"n") for key in range(40)]
+    ops += [(key, b"late") for key in range(4, 70, 5)]
+    run_equals_ops_one_at_a_time(live, twin, ops)
+    assert index.generations > generations  # the run started a resize

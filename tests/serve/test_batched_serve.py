@@ -209,6 +209,35 @@ class TestBatchedBatchPath:
 
         run(scenario())
 
+    def test_a_segment_is_one_get_walk_and_one_write_walk_per_shard(self):
+        """STATS shows the batch shape: a mixed batch is one GET walk and
+        one write walk per shard touched; a STATS op in the middle cuts
+        it into two segments, so two GET walks."""
+        keys = distinct_keys(16, seed=derive(16))
+        mixed = [op for i, key in enumerate(keys)
+                 for op in (("get", key), ("put", key, bytes([i])))]
+
+        async def walks(client, batch):
+            before = await client.stats()
+            await client.batch(batch)
+            after = await client.stats()
+            return (after["get_walks"] - before["get_walks"],
+                    after["write_walks"] - before["write_walks"])
+
+        async def scenario():
+            async with McCuckooServer(config()) as server:
+                host, port = server.address
+                async with McCuckooClient(host, port) as client:
+                    shards = len({server.store.shard_index(key) for key in keys})
+                    assert len(mixed) == 32
+                    assert await walks(client, mixed) == (1, shards)
+                    cut = mixed[:16] + [("stats",)] + mixed[16:]
+                    gets, writes = await walks(client, cut)
+                    assert gets == 2
+                    assert shards <= writes <= 2 * shards
+
+        run(scenario())
+
     def test_queued_ops_gauge_settles_to_zero(self):
         async def scenario():
             async with McCuckooServer(config()) as server:
