@@ -24,6 +24,7 @@ Methodology notes:
 from __future__ import annotations
 
 import json
+import os
 import platform
 import random
 import sys
@@ -441,6 +442,7 @@ def run_bench_core(config: Optional[BenchCoreConfig] = None,
             "highload_policy": config.highload_policy,
         },
         "environment": {
+            "cpus": os.cpu_count() or 1,
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "machine": platform.machine(),
@@ -481,7 +483,8 @@ def run_bench_core(config: Optional[BenchCoreConfig] = None,
 
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable table of a :func:`run_bench_core` document."""
-    lines = ["phase    load  batch  backend      ops/s  speedup"]
+    cpus = report.get("environment", {}).get("cpus", "?")
+    lines = [f"cpus={cpus}", "phase    load  batch  backend      ops/s  speedup"]
     for row in report["rows"]:
         speedup = f"{row['speedup']:.2f}x" if "speedup" in row else "  -"
         batch = "scalar" if row["batch"] == 1 else str(row["batch"])

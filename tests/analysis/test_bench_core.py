@@ -4,10 +4,14 @@ floor, so a slower machine alone is not a regression."""
 
 import json
 
+import os
+
 from repro.analysis.bench_core import (
     BenchCoreConfig,
     compare_highload_to_baseline,
     compare_to_baseline,
+    render_report,
+    run_bench_core,
 )
 
 CONFIG = {
@@ -126,3 +130,13 @@ def test_highload_frontier_may_not_recede():
         report(highload=receded), BASELINE)
     assert not ok
     assert "receded" in message
+
+
+def test_every_report_records_cpus():
+    """A reader must be able to tell the box from the code."""
+    tiny = BenchCoreConfig(n_buckets=64, n_lookups=64, n_deletes=16,
+                           load_factors=(0.5,), batch_sizes=(16,), repeats=1,
+                           highload_loads=())
+    report = run_bench_core(tiny)
+    assert report["environment"]["cpus"] == (os.cpu_count() or 1)
+    assert render_report(report).startswith(f"cpus={os.cpu_count() or 1}")

@@ -8,9 +8,14 @@ tests crash the copy loop at *every* record boundary and prove the old
 image stays authoritative, byte for byte.
 """
 
+import copy
+
 import pytest
 
 from repro.apps import LogStructuredStore
+from repro.apps.kvstore import ValueLog
+from repro.core import McCuckoo
+from repro.core.snapshot import snapshot_mccuckoo, snapshot_resizable
 from repro.faults import FaultPlan, InjectedCrash
 from repro.maintenance import Compactor
 from tests.seeding import derive
@@ -83,6 +88,47 @@ class TestCompactor:
         b = _churned_store(derive(0xC4))
         assert a.compact() == Compactor().compact(b)
         assert a.log_bytes == b.log_bytes
+
+
+class TestCommitWalk:
+    """The commit patches offsets in one walk of the index with the old →
+    new offset map; the index ends exactly as one ``try_update`` per live
+    key left it."""
+
+    def test_walk_equals_patching_key_by_key_mid_resize(self):
+        store = LogStructuredStore(expected_items=64, seed=derive(0xCA),
+                                   durable=True)
+        keys = 0
+        while not store.index.resizing:
+            keys += 1
+            store.put(keys, b"first")
+        for key in range(1, 4):
+            store.put(key, b"again")
+        store.delete(5)
+        assert store.index.resizing  # both halves hold live keys
+        assert len(store.index.retiring_table) and len(store.index.active_table)
+        twin = copy.deepcopy(store)
+        Compactor().compact(store)
+
+        fresh = ValueLog()
+        moved = [(key, fresh.copy_record(twin._log, offset))
+                 for key, offset in list(twin.index.items())]
+        for key, offset in moved:
+            assert twin.index.try_update(key, offset) is not None
+        assert snapshot_resizable(store.index) == snapshot_resizable(twin.index)
+        assert store.log_bytes == bytes(fresh._image)
+
+    def test_walk_rewrites_stashed_values(self):
+        table = McCuckoo(8, seed=derive(0xCB), maxloop=0)
+        for key in range(40):
+            table.put(key, key)
+        assert len(table.stash) > 0
+        twin = copy.deepcopy(table)
+        mapping = {key: 1000 + key for key in range(40)}
+        assert table.remap_values(mapping) > len(table.stash)
+        for key in range(40):
+            twin.try_update(key, 1000 + key)
+        assert snapshot_mccuckoo(table) == snapshot_mccuckoo(twin)
 
 
 class TestCompactionCrashSafety:
